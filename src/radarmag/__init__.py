@@ -15,7 +15,7 @@ from .gabor import (GaborBank, GaborParams, Pyramid, decompose,
                     load_bank_config, make_bank, make_gabor, reconstruct,
                     DEFAULT_WAVELENGTHS)
 from .magnify import (BandSpec, MagnifyConfig, SpectralDecomposition,
-                      global_magnify, magnify, magnify_windowed,
+                      dct_bandpass, global_magnify, magnify, magnify_windowed,
                       temporal_bandpass, unwrap_phase)
 from .simulate import (SceneSpec, TargetSpec, estimate_displacement,
                        load_scene_config, pulse_template, save_truth_csv, simulate)
@@ -34,7 +34,7 @@ __all__ = [
     "GaborBank", "GaborParams", "LevelSignal", "LinearModel", "MagnifyConfig",
     "ModelReport", "DEFAULT_WAVELENGTHS", "Pyramid", "Radargram", "RangeROI",
     "SceneSpec", "SpectralDecomposition", "TargetSpec", "WindowSpec",
-    "decompose", "decompose_direct",
+    "dct_bandpass", "decompose", "decompose_direct",
     "default_bank", "dyadic_bank", "estimate_displacement", "feature_names",
     "featurize", "fft_peak_bpm", "fit_ols", "fit_rf", "global_magnify",
     "kfold_mae", "level_signals", "load_bank_config", "load_model",

@@ -2,8 +2,8 @@
 
 Subcommands: simulate, magnify, features, train, eval, render.  Every run is
 reproducible: the same flags and seeds produce byte-identical outputs.  Exit
-codes: 0 success, 1 user error (bad arguments, files, or configs), 2
-internal error.
+codes: 0 success (also for --help), 1 user error (bad flags, arguments,
+files, or configs; one line on stderr), 2 internal error.
 """
 
 from __future__ import annotations
@@ -52,8 +52,23 @@ def _roi(text: str) -> RangeROI:
 
 
 def _clip(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition(":")
-    return float(lo), float(hi)
+    """Parse LO:HI percentiles."""
+    try:
+        lo, _, hi = text.partition(":")
+        return float(lo), float(hi)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad clip {text!r}: expected LO:HI percentiles") from None
+
+
+class UsageError(Exception):
+    """A malformed command line; reported as a user error (exit 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _load_bank(path: str | None) -> gabor.GaborBank:
@@ -61,7 +76,7 @@ def _load_bank(path: str | None) -> gabor.GaborBank:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radarmag",
         description="Phase-based motion magnification and vital-sign estimation for UWB radargrams.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -141,11 +156,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_magnify(args) -> int:
-    r = load_radargram(args.input)
-    bank = _load_bank(args.bank)
     cfg = MagnifyConfig(alpha=args.alpha, band=args.band,
                         phase_gate_ratio=args.gate_ratio,
                         denoise_sigma_bins=args.denoise_sigma)
+    r = load_radargram(args.input)
+    bank = _load_bank(args.bank)
     if args.window is not None:
         out = magnify_windowed(r, bank, cfg, args.window)
     else:
@@ -233,8 +248,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         return _COMMANDS[args.command](args)
     except (FormatError, FileNotFoundError, PermissionError, IsADirectoryError, ValueError) as exc:

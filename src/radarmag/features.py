@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gabor import GaborBank, decompose
-from .magnify import BandSpec, MagnifyConfig, _mirrored_bandpass, magnify, unwrap_phase
+from .magnify import BandSpec, MagnifyConfig, dct_bandpass, magnify, unwrap_phase
 from .radargram import Radargram, RangeROI, WindowSpec, windows
 
 log = logging.getLogger(__name__)
@@ -58,7 +58,7 @@ def level_signals(window: Radargram, bank: GaborBank, band: BandSpec,
         if total <= 0:
             raise ValueError(f"level {k} (wavelength {params.wavelength}) has zero amplitude in ROI")
         phase = unwrap_phase(np.angle(sub), axis=1)
-        filtered = _mirrored_bandpass(phase, window.fps, band, axis=1)
+        filtered = dct_bandpass(phase, window.fps, band, axis=1)
         series = weights @ filtered / total
         out.append(LevelSignal(level_index=k, wavelength=params.wavelength,
                                series=series, fps=window.fps))

@@ -112,7 +112,9 @@ class GaborBank:
 
     def transform_length(self, n: int, mode: str) -> int:
         if mode == "linear":
-            return sfft.next_fast_len(n + 2 * self.max_radius)
+            # 5-smooth lengths only: radix-7/11 passes are slow (a 726 = 2*3*11^2
+            # point transform takes about twice as long as a 729 = 3^6 one)
+            return sfft.next_fast_len(n + 2 * self.max_radius, real=True)
         if mode == "circular":
             return n
         raise ValueError(f"unknown convolution mode {mode!r}, expected 'linear' or 'circular'")
@@ -137,12 +139,6 @@ class Pyramid:
         for lev in self.levels:
             if lev.shape[0] != self.source_len:
                 raise ValueError(f"level shape {lev.shape} does not match source length {self.source_len}")
-
-    def amplitude(self, k: int) -> np.ndarray:
-        return np.abs(self.levels[k])
-
-    def phase(self, k: int) -> np.ndarray:
-        return np.angle(self.levels[k])
 
 
 def make_bank(wavelengths=DEFAULT_WAVELENGTHS, bandwidth_divisor=DEFAULT_BANDWIDTH_DIVISOR,
@@ -225,13 +221,8 @@ def load_bank_config(path: str) -> GaborBank:
     return make_bank(wavelengths, bandwidth_divisor=divisor, support_multiplier=mult)
 
 
-def decompose(signal: np.ndarray, bank: GaborBank, mode: str = "linear") -> Pyramid:
-    """Convolve a profile (1-D) or radargram matrix (bins x frames) with every kernel.
-
-    mode 'linear' zero-pads and returns the same-size central part of the
-    linear convolution; 'circular' wraps at the signal length.  Either path
-    runs in the frequency domain and matches direct convolution to ~1e-13.
-    """
+def _analysis_input(signal: np.ndarray, bank: GaborBank, mode: str):
+    """Validated float64 signal plus its transform length and Hermitian half spectrum."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected 1-D profile or 2-D radargram matrix, got shape {x.shape}")
@@ -242,14 +233,103 @@ def decompose(signal: np.ndarray, bank: GaborBank, mode: str = "linear") -> Pyra
     if n < support:
         raise ValueError(f"signal length {n} shorter than largest kernel support {support}")
     m = bank.transform_length(n, mode)
-    psis = bank.freq_responses(m)
-    spectrum = sfft.fft(x, n=m, axis=0, workers=-1)
-    shape = (slice(None),) + (None,) * (x.ndim - 1)
+    return x, m, sfft.rfft(x, n=m, axis=0, workers=-1)
+
+
+def _column(v: np.ndarray, ndim: int) -> np.ndarray:
+    """A per-frequency vector shaped to broadcast along axis 0 of an ndim array."""
+    return v.reshape((-1,) + (1,) * (ndim - 1))
+
+
+def _analyze_level(half: np.ndarray, psi: np.ndarray, buf: np.ndarray) -> None:
+    """Write one level into buf (m rows; the level is rows [:n]) in place.
+
+    The full spectrum of the real signal is rebuilt from its half as the
+    product is formed, so no full-length copy of the input spectrum exists.
+    """
+    m, h = buf.shape[0], half.shape[0]
+    np.multiply(half, _column(psi[:h], buf.ndim), out=buf[:h])
+    tail = buf[h:]
+    np.conjugate(half[m - h : 0 : -1], out=tail)
+    tail *= _column(psi[h:], buf.ndim)
+    sfft.ifft(buf, axis=0, overwrite_x=True, workers=-1)
+
+
+class _Synthesis:
+    """Accumulates levels into the Hermitian half of the synthesis spectrum.
+
+    Each level is zero-padded, transformed, filtered again by its own
+    kernel, and added together with its conjugate mirror, so the sum is the
+    half spectrum of a real signal.  result() divides once by the
+    symmetrized aggregate response N + N(-xi), floored at
+    RESPONSE_FLOOR_RATIO of its maximum so uncovered frequencies are
+    attenuated instead of amplified.
+    """
+
+    def __init__(self, psis: np.ndarray, n: int, frames: tuple):
+        self.psis, self.n = psis, n
+        m = psis.shape[1]
+        self.acc = np.zeros((m // 2 + 1,) + frames, dtype=np.complex128)
+
+    def add(self, buf: np.ndarray, k: int) -> None:
+        """Add level k held in rows [:n] of buf; buf is overwritten."""
+        m, h = buf.shape[0], self.acc.shape[0]
+        buf[self.n :] = 0.0
+        sfft.fft(buf, axis=0, overwrite_x=True, workers=-1)
+        buf *= _column(self.psis[k], buf.ndim)
+        self.acc += buf[:h]
+        self.acc[0] += np.conj(buf[0])
+        # value at -xi lives at index (m - j) % m
+        mirror = buf[m - h + 1 :]
+        self.acc[1:] += np.conjugate(mirror, out=mirror)[::-1]
+
+    def result(self) -> np.ndarray:
+        m, h = self.psis.shape[1], self.acc.shape[0]
+        response = np.sum(np.abs(self.psis) ** 2, axis=0)
+        response = response + np.roll(response[::-1], 1)
+        floor = RESPONSE_FLOOR_RATIO * response.max()
+        self.acc /= _column(np.maximum(response[:h], floor), self.acc.ndim)
+        out = sfft.irfft(self.acc, m, axis=0, overwrite_x=True, workers=-1)
+        return out[: self.n].copy()
+
+
+def decompose(signal: np.ndarray, bank: GaborBank, mode: str = "linear") -> Pyramid:
+    """Convolve a profile (1-D) or radargram matrix (bins x frames) with every kernel.
+
+    mode 'linear' zero-pads and returns the same-size central part of the
+    linear convolution; 'circular' wraps at the signal length.  Either path
+    runs in the frequency domain and matches direct convolution to ~1e-13.
+    """
+    x, m, half = _analysis_input(signal, bank, mode)
+    n = x.shape[0]
     levels = []
-    for psi in psis:
-        product = spectrum * psi[shape]
-        levels.append(sfft.ifft(product, axis=0, workers=-1, overwrite_x=True)[:n])
+    for psi in bank.freq_responses(m):
+        buf = np.empty((m,) + x.shape[1:], dtype=np.complex128)
+        _analyze_level(half, psi, buf)
+        levels.append(buf[:n])
     return Pyramid(source_len=n, levels=tuple(levels), bank=bank, mode=mode)
+
+
+def map_levels(signal: np.ndarray, bank: GaborBank, op, mode: str = "linear") -> np.ndarray:
+    """Analyse, modify and resynthesize a signal one pyramid level at a time.
+
+    For each level k, op(k, level) receives the complex coefficients
+    (shaped like the signal) and modifies them in place; the level is then
+    added into the synthesis spectrum before the next one is formed.  Only
+    one level, the input half spectrum and the synthesis half spectrum are
+    held at once.  An op that leaves its level unchanged returns exactly
+    reconstruct(decompose(signal, bank, mode), bank).
+    """
+    x, m, half = _analysis_input(signal, bank, mode)
+    n = x.shape[0]
+    psis = bank.freq_responses(m)
+    synthesis = _Synthesis(psis, n, x.shape[1:])
+    buf = np.empty((m,) + x.shape[1:], dtype=np.complex128)
+    for k, psi in enumerate(psis):
+        _analyze_level(half, psi, buf)
+        op(k, buf[:n])
+        synthesis.add(buf, k)
+    return synthesis.result()
 
 
 def decompose_direct(signal: np.ndarray, bank: GaborBank, mode: str = "linear") -> Pyramid:
@@ -268,42 +348,18 @@ def decompose_direct(signal: np.ndarray, bank: GaborBank, mode: str = "linear") 
     return Pyramid(source_len=x.shape[0], levels=tuple(levels), bank=bank, mode=mode)
 
 
-def _reconstruct_spectrum(pyr: Pyramid, bank: GaborBank):
-    """Second filtering pass in the frequency domain.
-
-    Returns (complex pre-real reconstruction, transform length).  The level
-    sum is Hermitian-symmetrized and divided by the symmetrized aggregate
-    response N + N(-xi), floored at RESPONSE_FLOOR_RATIO of its maximum so
-    uncovered frequencies are attenuated instead of amplified.
-    """
+def reconstruct(pyr: Pyramid, bank: GaborBank) -> np.ndarray:
+    """Collapse a pyramid back to a real profile or radargram matrix."""
     if pyr.bank is not bank and pyr.bank.wavelengths != bank.wavelengths:
         raise ValueError("pyramid was built by a different bank")
     if len(pyr.levels) != len(bank):
         raise ValueError(f"{len(pyr.levels)} levels for a {len(bank)}-level bank")
     n = pyr.source_len
-    m = bank.transform_length(n, pyr.mode)
-    psis = bank.freq_responses(m)
-    shape = (slice(None),) + (None,) * (pyr.levels[0].ndim - 1)
-
-    acc = None
-    for lev, psi in zip(pyr.levels, psis):
-        term = sfft.fft(lev, n=m, axis=0, workers=-1)
-        term *= psi[shape]
-        acc = term if acc is None else acc + term
-
-    # value at -xi lives at index (m - k) % m
-    def mirror(a):
-        return np.roll(np.flip(a, axis=0), 1, axis=0)
-
-    response = np.sum(np.abs(psis) ** 2, axis=0)
-    response = response + mirror(response)
-    floor = RESPONSE_FLOOR_RATIO * response.max()
-    acc = acc + np.conj(mirror(acc))
-    acc /= np.maximum(response, floor)[shape]
-    return sfft.ifft(acc, axis=0, workers=-1, overwrite_x=True)[:n], m
-
-
-def reconstruct(pyr: Pyramid, bank: GaborBank) -> np.ndarray:
-    """Collapse a pyramid back to a real profile or radargram matrix."""
-    full, _ = _reconstruct_spectrum(pyr, bank)
-    return np.real(full)
+    psis = bank.freq_responses(bank.transform_length(n, pyr.mode))
+    frames = pyr.levels[0].shape[1:]
+    synthesis = _Synthesis(psis, n, frames)
+    buf = np.empty((psis.shape[1],) + frames, dtype=np.complex128)
+    for k, level in enumerate(pyr.levels):
+        buf[:n] = level
+        synthesis.add(buf, k)
+    return synthesis.result()

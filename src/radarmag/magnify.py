@@ -1,12 +1,14 @@
 """Motion magnification: per-level temporal phase filtering and amplification
 over a radargram, plus the global FFT phase magnifier for pure translations.
 
-The per-level pipeline decomposes every frame's range profile with a Gabor
-bank, unwraps each (level, bin) coefficient phase along slow time, bandpasses
-it around the motion frequency, scales the result by alpha, rotates the
-coefficients by the scaled phase, and reconstructs.  Output displacement
-corresponds to (1 + alpha) times the input displacement; alpha in [-1, 0)
-attenuates and alpha = -1 removes in-band motion entirely.
+The per-level pipeline runs inside one analysis/synthesis loop over the
+Gabor bank (gabor.map_levels): for each level it unwraps every bin's
+coefficient phase along slow time, bandpasses it around the motion
+frequency, scales the result by alpha and rotates the coefficients by the
+scaled phase, then adds the level into the synthesis before forming the
+next.  Output displacement corresponds to (1 + alpha) times the input
+displacement; alpha in [-1, 0) attenuates and alpha = -1 removes in-band
+motion entirely.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.ndimage import gaussian_filter1d
 
-from .gabor import GaborBank, Pyramid, decompose, reconstruct
+# decompose is not called here; it stays bound in this module because the
+# benchmark self-test (perfbench/selftest.py) checks its tracing wrapper here.
+from .gabor import GaborBank, decompose, map_levels  # noqa: F401
 from .radargram import Radargram, WindowSpec
 
 
@@ -59,10 +63,14 @@ class MagnifyConfig:
     denoise_sigma_bins: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < -1:
-            raise ValueError(f"alpha must be >= -1, got {self.alpha}")
-        if self.amplitude_mask_ratio < 0 or self.phase_gate_ratio < 0:
+        if not (np.isfinite(self.alpha) and self.alpha >= -1):
+            raise ValueError(f"alpha must be finite and >= -1, got {self.alpha}")
+        if not (self.amplitude_mask_ratio >= 0 and self.phase_gate_ratio >= 0):
             raise ValueError("mask and gate ratios must be non-negative")
+        if not self.gate_smooth_s > 0:
+            raise ValueError(f"gate_smooth_s must be positive, got {self.gate_smooth_s}")
+        if not self.denoise_sigma_bins >= 0:
+            raise ValueError(f"denoise_sigma_bins must be >= 0 (0 = off), got {self.denoise_sigma_bins}")
 
 
 @dataclass(frozen=True)
@@ -103,14 +111,29 @@ def unwrap_phase(series: np.ndarray, axis: int = -1) -> np.ndarray:
     p = np.asarray(series, dtype=np.float64)
     if not np.isfinite(p).all():
         raise ValueError("phase series contains non-finite samples")
+    axis %= p.ndim
     if p.shape[axis] < 2:
         return p.copy()
-    d = np.diff(p, axis=axis)
-    d -= 2.0 * np.pi * np.ceil((d - np.pi) / (2.0 * np.pi))
-    out = np.cumsum(d, axis=axis)
-    pad = [(0, 0)] * p.ndim
-    pad[axis % p.ndim] = (1, 0)
-    return np.pad(out, pad) + np.take(p, [0], axis=axis)
+
+    def part(sl):
+        index = [slice(None)] * p.ndim
+        index[axis] = sl
+        return tuple(index)
+
+    out = np.empty_like(p)
+    first = p[part(slice(0, 1))]
+    d = out[part(slice(1, None))]
+    np.subtract(p[part(slice(1, None))], p[part(slice(None, -1))], out=d)
+    wraps = d - np.pi
+    wraps /= 2.0 * np.pi
+    np.ceil(wraps, out=wraps)
+    wraps *= 2.0 * np.pi
+    d -= wraps
+    del wraps
+    np.cumsum(d, axis=axis, out=d)
+    d += first
+    out[part(slice(0, 1))] = first
+    return out
 
 
 def temporal_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1) -> np.ndarray:
@@ -128,71 +151,95 @@ def temporal_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int 
     return sfft.irfft(spectrum, n, axis=axis, workers=-1)
 
 
-def _mirrored_bandpass(x: np.ndarray, fps: float, band: BandSpec, axis: int) -> np.ndarray:
-    """Ideal bandpass on the even (mirrored) extension of the series.
+def dct_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1) -> np.ndarray:
+    """Ideal bandpass of the even (mirrored) extension of the series.
 
     The mirror removes the periodic wrap discontinuity of the plain DFT
-    filter, which otherwise turns phase ramps (e.g. a target crossing bins)
-    into broadband in-band leakage.
+    filter (temporal_bandpass), which otherwise turns phase ramps (e.g. a
+    target crossing bins) into broadband in-band leakage.  Filtering the
+    extension [x, flip(x)] and keeping its first half is exactly masking
+    the DCT-II of x (Martucci, IEEE TSP 1994): DCT bin k, at frequency
+    k * fps / (2n), is kept when it lies in [f_lo, f_hi].
     """
+    x = np.asarray(series, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("series contains non-finite samples")
+    band.validate(fps)
     n = x.shape[axis]
-    ext = np.concatenate([x, np.flip(x, axis=axis)], axis=axis)
-    freqs = np.fft.rfftfreq(2 * n, 1.0 / fps)
+    freqs = np.fft.rfftfreq(2 * n, 1.0 / fps)[:n]
     keep = (freqs >= band.f_lo) & (freqs <= band.f_hi)
     shape = [1] * x.ndim
     shape[axis % x.ndim] = -1
-    spectrum = sfft.rfft(ext, axis=axis, workers=-1) * keep.reshape(shape)
-    out = sfft.irfft(spectrum, 2 * n, axis=axis, workers=-1)
-    index = [slice(None)] * x.ndim
-    index[axis % x.ndim] = slice(0, n)
-    return out[tuple(index)]
+    coefficients = sfft.dct(x, type=2, axis=axis, workers=-1)
+    coefficients *= keep.reshape(shape)
+    return sfft.idct(coefficients, type=2, axis=axis, overwrite_x=True, workers=-1)
 
 
-def _filtered_phase(level: np.ndarray, amplitude: np.ndarray,
-                    fps: float, cfg: MagnifyConfig) -> np.ndarray:
-    """Bandpassed, gated phase of one pyramid level (bins x frames)."""
+def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
+    """phase *= gaussian_filter1d(above, sigma) along frames, in place.
+
+    Only rows where the amplitude gate is mixed are filtered; a row that
+    is entirely above the threshold takes the filter's response to a row
+    of ones and a row entirely below it is zeroed, which is the same
+    product the full filter gives.
+    """
+    full = above.all(axis=1)
+    mixed = above.any(axis=1) & ~full
+    phase[~(full | mixed)] = 0.0
+    if full.any():
+        ones = np.ones((1, phase.shape[1]))
+        phase[full] *= gaussian_filter1d(ones, sigma, axis=1, mode="nearest")
+    if mixed.any():
+        gate = above[mixed].astype(np.float64)
+        phase[mixed] *= gaussian_filter1d(gate, sigma, axis=1, mode="nearest")
+
+
+def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
+    """Rotate one level (bins x frames) in place by alpha times its filtered phase."""
     phase = unwrap_phase(np.angle(level), axis=1)
+    amplitude = np.abs(level)
     peak = amplitude.max()
     if cfg.phase_gate_ratio > 0 and peak > 0:
-        gate = (amplitude >= cfg.phase_gate_ratio * peak).astype(np.float64)
-        gate = gaussian_filter1d(gate, cfg.gate_smooth_s * fps, axis=1, mode="nearest")
-        phase *= gate
+        _gate_phase(phase, amplitude >= cfg.phase_gate_ratio * peak, cfg.gate_smooth_s * fps)
     if cfg.denoise_sigma_bins > 0:
         weights = amplitude * amplitude
         num = gaussian_filter1d(weights * phase, cfg.denoise_sigma_bins, axis=0, mode="constant")
         den = gaussian_filter1d(weights, cfg.denoise_sigma_bins, axis=0, mode="constant")
         phase = num / (den + 1e-8 * max(den.max(), 1e-300))
-    filtered = _mirrored_bandpass(phase, fps, cfg.band, axis=1)
+    filtered = dct_bandpass(phase, fps, cfg.band, axis=1)
+    del phase
     if cfg.amplitude_mask_ratio > 0 and peak > 0:
         filtered[amplitude < cfg.amplitude_mask_ratio * peak] = 0.0
-    return filtered
+    del amplitude
+    filtered *= cfg.alpha
+    rotation = np.empty_like(level)
+    np.cos(filtered, out=rotation.real)
+    np.sin(filtered, out=rotation.imag)
+    del filtered
+    level *= rotation
 
 
 def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
     """Magnify in-band motion of a radargram by (1 + alpha).
 
-    With alpha = 0 the output equals reconstruct(decompose(data)) exactly:
-    the coefficients are multiplied by exp(0) = 1 and follow the identical
-    code path.
+    Streams the bank one level at a time through gabor.map_levels, so only
+    one level is held in memory.  With alpha = 0 every coefficient is
+    multiplied by exactly 1 and the output equals
+    reconstruct(decompose(data)) bit for bit: both run the same synthesis.
     """
     if r.n_frames < 4:
         raise ValueError(f"need at least 4 frames, got {r.n_frames}")
     cfg.band.validate(r.fps)
-    pyr = decompose(r.data, bank, mode="linear")
-    out_levels = []
-    for k, (params, level) in enumerate(zip(bank.levels, pyr.levels)):
-        amplitude = np.abs(level)
-        filtered = _filtered_phase(level, amplitude, r.fps, cfg)
-        modified = level * np.exp(1j * cfg.alpha * filtered)
-        if not np.isfinite(modified).all():
-            bad = np.argwhere(~np.isfinite(modified))[0]
+
+    def rotate(k: int, level: np.ndarray) -> None:
+        _rotate_level(level, r.fps, cfg)
+        if not np.isfinite(level).all():
+            bad = np.argwhere(~np.isfinite(level))[0]
             raise FloatingPointError(
-                f"non-finite coefficient at level {k} (wavelength {params.wavelength}), "
+                f"non-finite coefficient at level {k} (wavelength {bank.levels[k].wavelength}), "
                 f"bin {bad[0]}, frame {bad[1]}")
-        out_levels.append(modified)
-    trimmed = Pyramid(source_len=pyr.source_len, levels=tuple(out_levels),
-                      bank=bank, mode=pyr.mode)
-    return r.with_data(reconstruct(trimmed, bank))
+
+    return r.with_data(map_levels(r.data, bank, rotate))
 
 
 def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
@@ -246,6 +293,6 @@ def global_magnify(frames: np.ndarray, fps: float, cfg: MagnifyConfig) -> np.nda
     weak = np.abs(spectra) < 1e-12 * np.abs(spectra).max()
     delta_phase[weak] = 0.0
     delta_phase[:, np.abs(reference) < 1e-12 * np.abs(reference).max()] = 0.0
-    filtered = _mirrored_bandpass(delta_phase, fps, cfg.band, axis=0)
+    filtered = dct_bandpass(delta_phase, fps, cfg.band, axis=0)
     shifted = spectra * np.exp(1j * cfg.alpha * filtered)
     return sfft.irfft(shifted, stack.shape[1], axis=1, workers=-1)

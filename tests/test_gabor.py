@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from radarmag import (FormatError, GaborParams, decompose, decompose_direct,
                       default_bank, dyadic_bank, load_bank_config, make_bank,
                       make_gabor, reconstruct)
-from radarmag.gabor import _reconstruct_spectrum
+from radarmag.gabor import map_levels
+
+BANK = default_bank()
+SUPPORT = 2 * BANK.max_radius + 1
+samples = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+profiles = st.integers(SUPPORT, 3 * SUPPORT).flatmap(
+    lambda n: arrays(np.float64, n, elements=samples))
 
 
 def in_band_signal(n, rng, n_components=8, period_lo=4.0, period_hi=75.0):
@@ -170,7 +179,43 @@ class TestDecompose:
                 assert np.allclose(lm[:, j], ls, atol=1e-12)
 
 
+class TestDecomposeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.floats(-10, 10), st.floats(-10, 10),
+           st.sampled_from(["linear", "circular"]))
+    def test_linearity(self, data, a, b, mode):
+        f = data.draw(profiles)
+        g = data.draw(arrays(np.float64, len(f), elements=samples))
+        combined = decompose(a * f + b * g, BANK, mode=mode)
+        scale = abs(a) * np.abs(f).max() + abs(b) * np.abs(g).max() + 1e-300
+        for lc, lf, lg in zip(combined.levels, decompose(f, BANK, mode=mode).levels,
+                              decompose(g, BANK, mode=mode).levels):
+            assert np.max(np.abs(lc - (a * lf + b * lg))) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_circular_integer_shift_covariance(self, data):
+        f = data.draw(profiles)
+        shift = data.draw(st.integers(-len(f), len(f)))
+        base = decompose(f, BANK, mode="circular")
+        shifted = decompose(np.roll(f, shift), BANK, mode="circular")
+        scale = np.abs(f).max() + 1e-300
+        for lb, ls in zip(base.levels, shifted.levels):
+            assert np.max(np.abs(np.roll(lb, shift) - ls)) <= 1e-12 * scale
+
+
 class TestReconstruct:
+    @pytest.mark.parametrize("mode", ["linear", "circular"])
+    def test_identity_op_is_reconstruct(self, mode):
+        # reconstruct(decompose(x)) is the unchanged-level case of map_levels
+        rng = np.random.default_rng(7)
+        for x in (rng.standard_normal(256), rng.standard_normal((256, 5))):
+            seen = []
+            out = map_levels(x, BANK, lambda k, level: seen.append(k), mode=mode)
+            assert seen == list(range(len(BANK)))
+            assert np.array_equal(out, reconstruct(decompose(x, BANK, mode=mode), BANK))
+
+
     def test_identity_on_in_band_signals(self):
         bank = default_bank()
         rng = np.random.default_rng(5)
@@ -198,13 +243,19 @@ class TestReconstruct:
 
     def test_pre_real_sum_is_real(self):
         # conjugate-symmetric kernels + Hermitian resummation: the complex
-        # reconstruction of a real input is real before taking the real part
+        # reconstruction of a real input is real before taking the real part,
+        # which is what lets reconstruct use a real inverse transform
         bank = default_bank()
         rng = np.random.default_rng(6)
         f = in_band_signal(256, rng)
         pyr = decompose(f, bank, mode="circular")
-        full, _ = _reconstruct_spectrum(pyr, bank)
+        psis = bank.freq_responses(256)
+        acc = sum(np.fft.fft(lev) * psi for lev, psi in zip(pyr.levels, psis))
+        response = np.sum(np.abs(psis) ** 2, axis=0)
+        mirror = (-np.arange(256)) % 256
+        full = np.fft.ifft((acc + np.conj(acc[mirror])) / (response + response[mirror]))
         assert np.max(np.abs(full.imag)) < 1e-12 * max(1.0, np.max(np.abs(full.real)))
+        assert np.max(np.abs(reconstruct(pyr, bank) - full.real)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         bank = default_bank()

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
-                      decompose, global_magnify, magnify, magnify_windowed,
-                      reconstruct, simulate, temporal_bandpass, unwrap_phase)
+                      dct_bandpass, decompose, global_magnify, magnify,
+                      magnify_windowed, reconstruct, simulate,
+                      temporal_bandpass, unwrap_phase)
 
 from scenes import (SCENE_BAND, STATIC_SLICE, TRACK_SLICE, displacement_p2p,
                     magnify_bank, validation_scene)
@@ -23,6 +26,22 @@ class TestBandSpec:
         with pytest.raises(ValueError):
             MagnifyConfig(alpha=-1.5, band=BandSpec(1.0, 2.0))
         MagnifyConfig(alpha=-1.0, band=BandSpec(1.0, 2.0))
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            MagnifyConfig(alpha=alpha, band=BandSpec(1.0, 2.0))
+
+    @pytest.mark.parametrize("sigma", [-3.0, -1e-9, np.nan])
+    def test_negative_denoise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="denoise_sigma_bins"):
+            MagnifyConfig(alpha=1.0, band=BandSpec(1.0, 2.0), denoise_sigma_bins=sigma)
+        MagnifyConfig(alpha=1.0, band=BandSpec(1.0, 2.0), denoise_sigma_bins=0.0)
+
+    @pytest.mark.parametrize("smooth", [0.0, -0.05, np.nan])
+    def test_non_positive_gate_smoothing_rejected(self, smooth):
+        with pytest.raises(ValueError, match="gate_smooth_s"):
+            MagnifyConfig(alpha=1.0, band=BandSpec(1.0, 2.0), gate_smooth_s=smooth)
 
 
 class TestTemporalBandpass:
@@ -47,6 +66,52 @@ class TestTemporalBandpass:
     def test_band_outside_nyquist(self):
         with pytest.raises(ValueError):
             temporal_bandpass(np.zeros(100), 10.0, BandSpec(2.0, 8.0))
+
+
+def mirrored_rfft_bandpass(x, fps, band, axis):
+    """Reference: ideal DFT bandpass of the even extension [x, flip(x)], first half kept."""
+    n = x.shape[axis]
+    ext = np.concatenate([x, np.flip(x, axis=axis)], axis=axis)
+    freqs = np.fft.rfftfreq(2 * n, 1.0 / fps)
+    keep = (freqs >= band.f_lo) & (freqs <= band.f_hi)
+    shape = [1] * x.ndim
+    shape[axis] = -1
+    out = np.fft.irfft(np.fft.rfft(ext, axis=axis) * keep.reshape(shape), 2 * n, axis=axis)
+    return np.take(out, np.arange(n), axis=axis)
+
+
+class TestDctBandpass:
+    @pytest.mark.parametrize("n", [64, 65, 200, 201])
+    def test_matches_mirrored_dft_filter(self, n):
+        rng = np.random.default_rng(n)
+        fps = 128.0
+        freqs = np.fft.rfftfreq(2 * n, 1.0 / fps)
+        # both edges land exactly on filter bins
+        band = BandSpec(freqs[5], freqs[n // 3])
+        x = np.cumsum(rng.standard_normal((3, n)), axis=1)   # ramps: mirror matters
+        out = dct_bandpass(x, fps, band, axis=1)
+        ref = mirrored_rfft_bandpass(x, fps, band, axis=1)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(x))
+        out0 = dct_bandpass(x.T, fps, band, axis=0)
+        assert np.max(np.abs(out0 - ref.T)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_edge_bins_are_kept(self):
+        n, fps = 64, 128.0
+        k_lo, k_hi = 5, 20
+        band = BandSpec(k_lo * fps / (2 * n), k_hi * fps / (2 * n))
+        t = np.arange(n)
+        for k in (k_lo, k_hi):
+            tone = np.cos(np.pi * k * (t + 0.5) / n)   # DCT-II basis vector k
+            assert np.max(np.abs(dct_bandpass(tone, fps, band) - tone)) <= 1e-12
+        for k in (k_lo - 1, k_hi + 1):
+            tone = np.cos(np.pi * k * (t + 0.5) / n)
+            assert np.max(np.abs(dct_bandpass(tone, fps, band))) <= 1e-12
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            dct_bandpass(np.zeros(100), 10.0, BandSpec(2.0, 8.0))
+        with pytest.raises(ValueError):
+            dct_bandpass(np.array([0.0, np.nan, 1.0]), 10.0, BandSpec(1.0, 2.0))
 
 
 class TestUnwrapPhase:
@@ -120,6 +185,22 @@ class TestMagnify:
         p2p = displacement_p2p(twice)
         p2p_ref = displacement_p2p(reference)
         assert abs(p2p - p2p_ref) / p2p_ref < 0.10
+
+    def test_streams_one_level_at_a_time(self):
+        # peak traced memory stays below four complex arrays of one level at
+        # transform length, whatever the number of levels
+        r, _ = simulate(validation_scene(duration_s=5.0), seed=0)
+        bank = magnify_bank()
+        assert len(bank) == 9 and r.data.shape == (512, 1000)
+        m = bank.transform_length(r.n_bins, "linear")
+        magnify(r, bank, MagnifyConfig(alpha=10.0, band=SCENE_BAND))   # warm caches
+        tracemalloc.start()
+        try:
+            magnify(r, bank, MagnifyConfig(alpha=10.0, band=SCENE_BAND))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * m * r.n_frames * 16, f"peak {peak / 2**20:.1f} MiB"
 
     def test_too_few_frames(self):
         r = Radargram(np.zeros((300, 3)), fps=100.0, bin_spacing=0.01)

@@ -108,6 +108,33 @@ class TestCli:
         code = main(["render", str(tmp_path / "missing.rgrm"), str(tmp_path / "x.ppm")])
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "configs/validation_scene.cfg", "-o", "x.rgrm", "--seed", "abc"],
+        ["magnify", "a.rgrm", "b.rgrm", "--alpha", "1", "--band", "40:50", "--window", "1:2"],
+        ["features", "a.rgrm", "-o", "f.csv", "--band", "40:50", "--window", "5:2.5",
+         "--roi", "5:x"],
+        ["train", "f.csv", "-o", "m.bin", "--folds", "ten"],
+        ["eval", "m.bin"],
+        ["render", "a.rgrm", "b.ppm", "--clip", "x:y"],
+    ], ids=lambda argv: argv[0])
+    def test_malformed_flag_is_user_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: radarmag {argv[0]}: ")
+
+    def test_missing_subcommand_is_user_error(self, capsys):
+        assert main([]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_negative_denoise_sigma_is_user_error(self, tmp_path, capsys):
+        rgrm = str(tmp_path / "scene.rgrm")
+        code = main(["magnify", rgrm, str(tmp_path / "out.rgrm"), "--alpha", "1",
+                     "--band", "40:50", "--denoise-sigma", "-3"])
+        assert code == 1
+        assert "denoise_sigma_bins" in capsys.readouterr().err
+
     def test_help_lists_units(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["magnify", "--help"])
