@@ -14,7 +14,7 @@ from scipy import linalg
 
 from .features import FeatureRow
 from .magnify import BandSpec
-from .radargram import Radargram, RangeROI
+from .radargram import FormatError, Radargram, RangeROI
 
 MODEL_MAGIC = b"RMGM"
 MODEL_VERSION = 1
@@ -56,42 +56,87 @@ class LinearModel:
     intercept: float
     ridge: float = 0.0
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
-
     kind = "ols"
+
+    @property
+    def n_features(self) -> int:
+        return len(self.weights)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return _check_columns(X, self.n_features) @ self.weights + self.intercept
+
+
+def _check_columns(X, n_features: int) -> np.ndarray:
+    """X as a C-contiguous float64 (rows, n_features) array, else ValueError."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n_features:
+        raise ValueError(f"model expects {n_features} features per row, "
+                         f"got an array of shape {X.shape}")
+    return X
 
 
 class ForestModel:
-    """Flat-array forest: per node feature index (-1 = leaf), threshold,
-    left/right child, and leaf value; one array block per tree."""
+    """Bootstrap regression forest.
+
+    ``trees`` holds one flat-array block per tree: per node the feature index
+    (-1 = leaf), threshold, left/right child (local indices, -1 at leaves)
+    and value.  Prediction runs on one packed node table of all trees, in
+    which leaves point to themselves, so every (row, tree) pair steps down
+    together for as many levels as the deepest tree has.
+    """
 
     kind = "rf"
 
     def __init__(self, trees: list[dict], n_features: int, seed: int):
+        """Pack the trees; ValueError unless every tree has nodes, every
+        feature index lies in [-1, n_features) and every child lies after its
+        parent within its tree (so every path ends at a leaf)."""
         self.trees = trees
         self.n_features = n_features
         self.seed = seed
-
-    def predict_tree(self, tree: dict, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(X), dtype=np.int64)
-        feature, threshold = tree["feature"], tree["threshold"]
-        left, right = tree["left"], tree["right"]
-        active = feature[node] >= 0
-        while active.any():
-            idx = np.where(active)[0]
-            nd = node[idx]
-            go_left = X[idx, feature[nd]] <= threshold[nd]
-            node[idx] = np.where(go_left, left[nd], right[nd])
-            active[idx] = feature[node[idx]] >= 0
-        return tree["value"][node]
+        sizes = np.array([len(t["feature"]) for t in trees])
+        if not len(trees) or any(len(t[key]) != len(t["feature"]) or not len(t[key])
+                                 for t in trees for key, _ in _TREE_ARRAYS):
+            raise ValueError("a forest needs trees with non-empty node arrays of equal length")
+        packed = {key: np.concatenate([t[key] for t in trees]) for key, _ in _TREE_ARRAYS}
+        self._roots = np.cumsum(sizes) - sizes
+        tree_of = np.repeat(np.arange(len(trees)), sizes)
+        here = np.arange(len(tree_of))
+        end = (self._roots + sizes)[tree_of]
+        feature = packed["feature"]
+        internal = feature >= 0
+        bad = (feature < -1) | (feature >= n_features)
+        for key in ("left", "right"):     # global indices; leaves point to themselves
+            child = packed[key] + self._roots[tree_of]
+            bad |= internal & ((child <= here) | (child >= end))
+            packed[key] = np.where(internal, child, here)
+        if bad.any():
+            t = tree_of[np.argmax(bad)]
+            raise ValueError(f"tree {t}: a feature index outside [-1, {n_features}) "
+                             "or a child that does not follow its parent")
+        self._feature = np.where(internal, feature, 0)
+        self._threshold = packed["threshold"]
+        self._left = packed["left"]
+        self._right = packed["right"]
+        self._value = packed["value"]
+        self._depth = 0
+        level = self._roots
+        while True:
+            level = level[internal[level]]
+            if not len(level):
+                break
+            level = np.unique(np.concatenate([self._left[level], self._right[level]]))
+            self._depth += 1
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        total = np.zeros(len(X))
-        for tree in self.trees:
-            total += self.predict_tree(tree, X)
-        return total / len(self.trees)
+        X = _check_columns(X, self.n_features)
+        base = (np.arange(len(X)) * self.n_features)[:, None]
+        flat = X.ravel()
+        node = np.repeat(self._roots[None, :], len(X), axis=0)
+        for _ in range(self._depth):
+            go_left = flat[base + self._feature[node]] <= self._threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        return self._value[node].mean(axis=1)
 
 
 @dataclass(frozen=True)
@@ -149,83 +194,138 @@ def fit_ols(train: Dataset, ridge: float = 0.0) -> LinearModel:
     return LinearModel(weights=w, intercept=float(y_mean - x_mean @ w), ridge=ridge)
 
 
-def _grow_tree(X, y, rng, max_depth, min_leaf, n_sub):
-    feature, threshold, left, right, value = [], [], [], [], []
+def _draw_subsets(rngs, tree_of_node, n_features, n_sub):
+    """Per node a random feature subset of size n_sub, in drawn order.
 
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
+    Nodes come grouped by tree; each tree draws one block of uniforms for
+    its nodes from its own stream, and a node's subset is the first n_sub
+    entries of the permutation that sorts its row.
+    """
+    counts = np.bincount(tree_of_node, minlength=len(rngs))
+    u = np.concatenate([rngs[t].random((counts[t], n_features)) for t in np.flatnonzero(counts)])
+    return np.argsort(u, axis=1)[:, :n_sub]
 
-    def build(idx, depth):
-        node = new_node()
-        y_node = y[idx]
-        value[node] = float(y_node.mean())
-        if depth >= max_depth or len(idx) < 2 * min_leaf or np.ptp(y_node) == 0:
-            return node
-        best = None  # (gain, feat, thresh)
-        total_sum = y_node.sum()
-        total_sq = (y_node**2).sum()
-        base_sse = total_sq - total_sum**2 / len(idx)
-        for f in rng.choice(X.shape[1], size=n_sub, replace=False):
-            xv = X[idx, f]
-            order = np.argsort(xv, kind="stable")
-            xs, ys = xv[order], y_node[order]
-            csum = np.cumsum(ys)
-            csq = np.cumsum(ys**2)
-            n_left = np.arange(1, len(idx))
-            valid = xs[1:] != xs[:-1]
-            valid &= (n_left >= min_leaf) & (len(idx) - n_left >= min_leaf)
-            if not valid.any():
-                continue
-            left_sse = csq[:-1] - csum[:-1] ** 2 / n_left
-            right_sum = total_sum - csum[:-1]
-            right_sq = total_sq - csq[:-1]
-            right_sse = right_sq - right_sum**2 / (len(idx) - n_left)
-            gain = np.where(valid, base_sse - left_sse - right_sse, -np.inf)
-            k = int(np.argmax(gain))
-            if gain[k] > 0 and (best is None or gain[k] > best[0]):
-                best = (float(gain[k]), int(f), float(0.5 * (xs[k] + xs[k + 1])))
-        if best is None:
-            return node
-        _, f, thr = best
-        go_left = X[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        left[node] = build(idx[go_left], depth + 1)
-        right[node] = build(idx[~go_left], depth + 1)
-        return node
 
-    build(np.arange(len(y)), 0)
-    return {"feature": np.array(feature, dtype=np.int64),
-            "threshold": np.array(threshold),
-            "left": np.array(left, dtype=np.int64),
-            "right": np.array(right, dtype=np.int64),
-            "value": np.array(value)}
+def _grow_forest(X, y, boots, rngs, max_depth, min_leaf, n_sub):
+    """Grow all trees together, one depth level at a time.
+
+    The samples of every open node of every tree sit in one array, grouped
+    by node, so a level costs a fixed number of numpy calls however many
+    nodes it holds.  Nodes are numbered level by level (trees in order
+    within a level), then renumbered per tree, so a child always has a
+    larger index than its parent.
+    """
+    n, d = X.shape
+    # per column, the rows in ascending order (ties by row) and each row's place in it
+    by_value = np.argsort(X, axis=0, kind="stable")
+    place = np.empty_like(by_value)
+    np.put_along_axis(place, by_value, np.arange(n)[:, None], axis=0)
+    flat_place = place.ravel()                      # [row * d + f]
+    sorted_rows = by_value.T.ravel()                # [f * n + place]
+    sorted_x = np.take_along_axis(X, by_value, axis=0).T.ravel()
+    flat_x = X.ravel()
+    rows = np.sort(boots, axis=1).ravel()           # X row of each sample, grouped by open node
+    counts = np.full(len(boots), n)                 # samples per open node
+    tree_of = np.arange(len(boots))                 # tree of each open node
+    levels = []
+    for depth in range(max_depth + 1):
+        starts = np.cumsum(counts) - counts
+        ys = y[rows]
+        value = np.add.reduceat(ys, starts) / counts
+        varied = np.maximum.reduceat(ys, starts) > np.minimum.reduceat(ys, starts)
+        search = np.flatnonzero(varied & (counts >= 2 * min_leaf) & (depth < max_depth))
+        feature = np.full(len(counts), -1)
+        threshold = np.zeros(len(counts))
+        if len(search) and n_sub:
+            # one segment per (node, drawn feature) pair, node-major in drawn order,
+            # sorted by the key pair * n + place: ascending x within each pair
+            pair_node = np.repeat(search, n_sub)
+            pair_feat = _draw_subsets(rngs, tree_of[search], d, n_sub).ravel()
+            pair_len = counts[pair_node]
+            pair_off = np.cumsum(pair_len) - pair_len
+            pair_id = np.arange(len(pair_node))
+            at = np.arange(pair_off[-1] + pair_len[-1])
+            sample = at + np.repeat(starts[pair_node] - pair_off, pair_len)
+            key = np.sort(np.repeat(pair_id * n, pair_len)
+                          + flat_place[rows[sample] * d + np.repeat(pair_feat, pair_len)])
+            cell = key + np.repeat((pair_feat - pair_id) * n, pair_len)   # f * n + place
+            xs = sorted_x[cell]
+            # the SSE reduction of a split after each position, from the running
+            # sum S of node-centered labels: S^2 n / (n_left n_right)
+            csum = np.cumsum(y[sorted_rows[cell]] - np.repeat(value[pair_node], pair_len))
+            s_left = csum - np.repeat(np.concatenate(([0.0], csum))[pair_off], pair_len)
+            n_node = np.repeat(pair_len, pair_len)
+            n_left = at + 1 - np.repeat(pair_off, pair_len)
+            n_right = n_node - n_left
+            gain = s_left**2 * n_node / (n_left * np.maximum(n_right, 1))
+            invalid = (n_left < min_leaf) | (n_right < max(min_leaf, 1))
+            invalid[:-1] |= xs[1:] == xs[:-1]
+            gain[invalid] = -1.0
+            # first maximum per node: drawn feature order, then ascending x
+            node_off = pair_off[::n_sub]
+            best = np.maximum.reduceat(gain, node_off)
+            at_best = np.where(gain == np.repeat(best, n_sub * counts[search]), at, len(at))
+            k = np.minimum.reduceat(at_best, node_off)[best > 0]
+            lo, hi = xs[k], xs[k + 1]
+            mid = 0.5 * (lo + hi)   # rounds up to hi only when lo and hi are adjacent floats
+            feature[search[best > 0]] = pair_feat[key[k] // n]
+            threshold[search[best > 0]] = np.where(mid < hi, mid, lo)
+        levels.append((tree_of, feature, threshold, value))
+        split = feature >= 0
+        if not split.any():
+            break
+        node_of = np.repeat(np.arange(len(counts)), counts)
+        keep = split[node_of]
+        rows, node_of = rows[keep], node_of[keep]
+        go_right = ~(flat_x[rows * d + feature[node_of]] <= threshold[node_of])
+        child = 2 * (np.cumsum(split) - 1)[node_of] + go_right
+        rows = np.sort(child * n + rows) % n    # grouped by child, ascending row within
+        counts = np.bincount(child, minlength=2 * int(split.sum()))
+        tree_of = np.repeat(tree_of[split], 2)
+    tree, feature, threshold, value = (np.concatenate(a) for a in zip(*levels))
+    # the j-th split node (level-major order) has children n_trees + 2j and + 2j + 1
+    split = feature >= 0
+    left = np.full(len(feature), -1)
+    left[split] = len(boots) + 2 * np.arange(int(split.sum()))
+    right = np.where(split, left + 1, -1)
+    order = np.argsort(tree, kind="stable")
+    sizes = np.bincount(tree, minlength=len(boots))
+    local = np.empty(len(tree), dtype=np.int64)
+    local[order] = np.arange(len(tree)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    left = np.where(split, local[left], -1)
+    right = np.where(split, local[right], -1)
+    blocks = {"feature": feature[order], "threshold": threshold[order], "left": left[order],
+              "right": right[order], "value": value[order]}
+    ends = np.cumsum(sizes)
+    return [{key: arr[end - size:end] for key, arr in blocks.items()}
+            for size, end in zip(sizes, ends)]
 
 
 def fit_rf(train: Dataset, n_trees: int = 100, max_depth: int = 12,
            min_leaf: int = 2, seed: int = 0) -> ForestModel:
     """Bootstrap-sampled CART regression forest.
 
-    Splits minimize within-node squared error over random feature subsets of
-    size ceil(sqrt(d)); the prediction is the mean of the tree outputs.
-    Per-tree RNG streams are spawned from the seed, so results do not depend
-    on training order.
+    Splits maximize the reduction of within-node squared error over a random
+    feature subset of size ceil(sqrt(d)) per node, at the midpoint between
+    adjacent distinct values; ties go to the first drawn feature, then the
+    smallest threshold.  A node stays a leaf at max_depth, below 2*min_leaf
+    rows, when its labels are constant, or when no split leaves min_leaf
+    rows on both sides.  The prediction is the mean of the tree outputs.
+
+    All trees grow together breadth-first, one depth level at a time.  Tree
+    t draws its bootstrap sample and then, level by level, the feature
+    subsets of its nodes in node order, all from stream t of
+    SeedSequence(seed).spawn(n_trees), so it depends only on (seed, t).
     """
-    if len(train) < min_leaf:
-        raise ValueError(f"need at least min_leaf={min_leaf} rows")
+    if n_trees < 1:
+        raise ValueError("n_trees must be at least 1")
+    if len(train) < max(min_leaf, 1):
+        raise ValueError(f"need at least min_leaf={min_leaf} rows and at least 1 row")
     X, y = train.X, train.y
     n_sub = int(np.ceil(np.sqrt(X.shape[1])))
-    streams = np.random.SeedSequence(seed).spawn(n_trees)
-    trees = []
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        boot = rng.integers(0, len(y), size=len(y))
-        trees.append(_grow_tree(X[boot], y[boot], rng, max_depth, min_leaf, n_sub))
+    rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
+    boots = [rng.integers(0, len(y), size=len(y)) for rng in rngs]
+    trees = _grow_forest(X, y, boots, rngs, max_depth, min_leaf, n_sub)
     return ForestModel(trees, n_features=X.shape[1], seed=seed)
 
 
@@ -301,6 +401,7 @@ def temporal_fft_baseline(window: Radargram, roi: RangeROI, search_band: BandSpe
 
 
 _DTYPE_CODES = {1: np.dtype("<i8"), 2: np.dtype("<f8")}
+_TREE_ARRAYS = (("feature", 1), ("threshold", 2), ("left", 1), ("right", 1), ("value", 2))
 
 
 def _write_array(fh, arr: np.ndarray) -> None:
@@ -311,11 +412,28 @@ def _write_array(fh, arr: np.ndarray) -> None:
     fh.write(arr.tobytes())
 
 
-def _read_array(fh) -> np.ndarray:
-    code, ndim = struct.unpack("<BI", fh.read(5))
-    shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-    count = int(np.prod(shape)) if shape else 1
-    return np.frombuffer(fh.read(8 * count), dtype=_DTYPE_CODES[code]).reshape(shape).copy()
+class _Reader:
+    """Cursor over a model file's bytes; every short read is a FormatError."""
+
+    def __init__(self, data: bytes, path: str):
+        self.data, self.pos, self.path = data, 0, path
+
+    def take(self, n: int) -> bytes:
+        if n > len(self.data) - self.pos:
+            raise FormatError(f"{self.path}: truncated model file")
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, code: int) -> np.ndarray:
+        got, ndim = self.unpack("<BI")
+        if got != code or ndim != 1:
+            raise FormatError(f"{self.path}: expected a 1-d {_DTYPE_CODES[code]} array, "
+                              f"got dtype code {got} with {ndim} dims")
+        (count,) = self.unpack("<Q")
+        return np.frombuffer(self.take(8 * count), dtype=_DTYPE_CODES[code]).copy()
 
 
 def save_model(model, path: str) -> None:
@@ -331,23 +449,33 @@ def save_model(model, path: str) -> None:
         else:
             fh.write(struct.pack("<IIq", len(model.trees), model.n_features, model.seed))
             for tree in model.trees:
-                for key in ("feature", "threshold", "left", "right", "value"):
+                for key, _ in _TREE_ARRAYS:
                     _write_array(fh, tree[key])
 
 
 def load_model(path: str):
+    """Read a model written by save_model.  A wrong magic, version or kind
+    code, a short read, or a forest whose node links do not form trees over
+    n_features columns raises FormatError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file")
-        version, kind_code = struct.unpack("<II", fh.read(8))
-        if version != MODEL_VERSION:
-            raise ValueError(f"{path}: unsupported model version {version}")
-        if kind_code == 1:
-            intercept, ridge = struct.unpack("<dd", fh.read(16))
-            return LinearModel(weights=_read_array(fh), intercept=intercept, ridge=ridge)
-        n_trees, n_features, seed = struct.unpack("<IIq", fh.read(16))
-        trees = []
-        for _ in range(n_trees):
-            trees.append({key: _read_array(fh)
-                          for key in ("feature", "threshold", "left", "right", "value")})
-        return ForestModel(trees, n_features=n_features, seed=seed)
+        reader = _Reader(fh.read(), path)
+    if reader.take(4) != MODEL_MAGIC:
+        raise FormatError(f"{path}: not a model file")
+    version, kind_code = reader.unpack("<II")
+    if version != MODEL_VERSION:
+        raise FormatError(f"{path}: unsupported model version {version}")
+    if kind_code == 1:
+        intercept, ridge = reader.unpack("<dd")
+        model = LinearModel(weights=reader.array(2), intercept=intercept, ridge=ridge)
+    elif kind_code == 2:
+        n_trees, n_features, seed = reader.unpack("<IIq")
+        trees = [{key: reader.array(code) for key, code in _TREE_ARRAYS} for _ in range(n_trees)]
+        try:
+            model = ForestModel(trees, n_features=n_features, seed=seed)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+    else:
+        raise FormatError(f"{path}: unknown model kind code {kind_code}")
+    if reader.pos != len(reader.data):
+        raise FormatError(f"{path}: {len(reader.data) - reader.pos} trailing bytes")
+    return model

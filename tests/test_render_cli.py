@@ -1,8 +1,15 @@
+import contextlib
+import io
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radarmag import (Radargram, load_radargram, read_ppm, render_heatmap,
-                      simulate, write_ppm)
+from radarmag import (Dataset, FeatureRow, Radargram, fit_ols, fit_rf, load_radargram,
+                      read_ppm, render_heatmap, save_model, simulate, write_features_csv,
+                      write_ppm)
 from radarmag.cli import main
 
 from scenes import validation_scene
@@ -141,3 +148,72 @@ class TestCli:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "Hz" in text and "alpha" in text
+
+
+N_FEATURES = 4
+
+
+def feature_csv(path, n_columns, rng):
+    rows = [FeatureRow(window_start_s=5.0 * i, features=rng.standard_normal(n_columns),
+                       label_bpm=60.0 + i) for i in range(6)]
+    write_features_csv(rows, [f"f{j}" for j in range(n_columns)], str(path))
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A 4-feature CSV and the bytes of an rf and an ols model trained on it."""
+    root = tmp_path_factory.mktemp("eval")
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, N_FEATURES))
+    data = Dataset(X, 60.0 + 5.0 * X[:, 0] + rng.standard_normal(20))
+    blobs = {}
+    for kind, model in (("rf", fit_rf(data, n_trees=3, max_depth=3, seed=0)),
+                        ("ols", fit_ols(data))):
+        save_model(model, str(root / kind))
+        blobs[kind] = (root / kind).read_bytes()
+    feature_csv(root / "features.csv", N_FEATURES, rng)
+    return root, blobs
+
+
+def run_eval(root, model_bytes, features="features.csv"):
+    """Exit code and stderr lines of `radarmag eval` on the given model bytes."""
+    (root / "model.bin").write_bytes(model_bytes)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", str(root / "model.bin"), str(root / features)])
+    return code, err.getvalue().splitlines()
+
+
+class TestEvalRejectsBadInput:
+    """Malformed or mismatched model and feature files exit 1, never 0 or 2."""
+
+    def test_intact_models_evaluate(self, eval_inputs):
+        root, blobs = eval_inputs
+        for blob in blobs.values():
+            assert run_eval(root, blob) == (0, [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["rf", "ols"]), st.data())
+    def test_truncated_model(self, eval_inputs, kind, data):
+        root, blobs = eval_inputs
+        size = data.draw(st.integers(0, len(blobs[kind]) - 1))
+        code, err = run_eval(root, blobs[kind][:size])
+        assert code == 1 and len(err) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["rf", "ols"]),
+           st.integers(0, 2**32 - 1).filter(lambda code: code not in (1, 2)))
+    def test_unknown_kind_code(self, eval_inputs, kind, kind_code):
+        root, blobs = eval_inputs
+        blob = blobs[kind][:8] + struct.pack("<I", kind_code) + blobs[kind][12:]
+        code, err = run_eval(root, blob)
+        assert code == 1 and len(err) == 1 and "kind" in err[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["rf", "ols"]),
+           st.integers(1, 12).filter(lambda n: n != N_FEATURES))
+    def test_feature_count_mismatch(self, eval_inputs, kind, n_columns):
+        root, blobs = eval_inputs
+        feature_csv(root / "other.csv", n_columns, np.random.default_rng(n_columns))
+        code, err = run_eval(root, blobs[kind], "other.csv")
+        assert code == 1 and len(err) == 1 and f"expects {N_FEATURES} features" in err[0]
