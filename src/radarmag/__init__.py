@@ -16,7 +16,7 @@ from .gabor import (GaborBank, GaborParams, Pyramid, decompose,
                     DEFAULT_WAVELENGTHS)
 from .magnify import (BandSpec, MagnifyConfig, SpectralDecomposition,
                       dct_bandpass, global_magnify, magnify, magnify_windowed,
-                      temporal_bandpass, unwrap_phase)
+                      unwrap_phase)
 from .simulate import (SceneSpec, TargetSpec, estimate_displacement,
                        load_scene_config, pulse_template, save_truth_csv, simulate)
 from .features import (FeatureRow, LevelSignal, feature_names, featurize,
@@ -42,6 +42,6 @@ __all__ = [
     "make_bank", "make_gabor", "pulse_template", "read_features_csv",
     "read_labels_csv", "read_ppm", "reconstruct", "render_heatmap",
     "save_model", "save_radargram", "save_truth_csv", "simulate",
-    "temporal_bandpass", "temporal_fft_baseline", "unwrap_phase", "windows",
+    "temporal_fft_baseline", "unwrap_phase", "windows",
     "write_features_csv", "write_ppm", "zcr_hz",
 ]

@@ -158,17 +158,29 @@ def window_label(labels: np.ndarray, start_s: float, length_s: float) -> float:
 
 
 def read_labels_csv(path: str) -> np.ndarray:
-    """Two-column (time_s, bpm) CSV, optional header line."""
-    data = np.genfromtxt(path, delimiter=",", skip_header=0, names=None)
-    if data.ndim == 1:
-        data = data[None, :]
-    if np.isnan(data).all(axis=1).any() or np.isnan(data[0]).any():
-        data = np.genfromtxt(path, delimiter=",", skip_header=1)
-        if data.ndim == 1:
-            data = data[None, :]
-    if data.shape[1] != 2 or np.isnan(data).any():
-        raise ValueError(f"{path}: expected two numeric columns (time_s, bpm)")
-    return data
+    """Two-column (time_s, bpm) CSV.
+
+    A first line with a non-numeric field is the header; blank lines are
+    skipped and every other line must hold two finite numbers.
+    """
+    rows = []
+    lineno = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                values = [float(v) for v in line.split(",")]
+            except ValueError:
+                if lineno == 1:
+                    continue
+                values = []
+            if len(values) != 2 or not np.isfinite(values).all():
+                raise ValueError(f"{path}:{lineno}: expected two numeric columns (time_s, bpm)")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}:{lineno + 1}: expected two numeric columns (time_s, bpm)")
+    return np.array(rows)
 
 
 def write_features_csv(rows: list[FeatureRow], names: list[str], path: str) -> None:

@@ -22,7 +22,13 @@ from scipy.ndimage import gaussian_filter1d
 # decompose is not called here; it stays bound in this module because the
 # benchmark self-test (perfbench/selftest.py) checks its tracing wrapper here.
 from .gabor import GaborBank, decompose, map_levels  # noqa: F401
-from .radargram import Radargram, WindowSpec
+from .radargram import Radargram, WindowSpec, windows
+
+# Filtered phase is zeroed at coefficients below this fraction of the level's
+# peak amplitude.
+AMPLITUDE_MASK_RATIO = 1e-8
+# Temporal smoothing sigma (seconds) of the phase gate's amplitude mask.
+GATE_SMOOTH_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -45,30 +51,24 @@ class BandSpec:
 class MagnifyConfig:
     """Amplification settings.
 
-    alpha scales the bandpassed phase (alpha >= -1).  amplitude_mask_ratio
-    zeroes the filtered phase at coefficients below that fraction of the
-    level's peak amplitude.  phase_gate_ratio additionally gates the raw
-    unwrapped phase with a temporally smoothed amplitude threshold before
-    filtering, so bins that are empty for part of the record cannot leak
-    broadband phase noise into the passband; gate_smooth_s is the temporal
-    smoothing sigma of that gate.  denoise_sigma_bins enables optional
+    alpha scales the bandpassed phase (alpha >= -1).  phase_gate_ratio
+    gates the raw unwrapped phase with a temporally smoothed amplitude
+    threshold (that fraction of the level's peak) before filtering, so bins
+    that are empty for part of the record cannot leak broadband phase noise
+    into the passband.  denoise_sigma_bins enables optional
     amplitude-weighted spatial smoothing of the phase (0 = off).
     """
 
     alpha: float
     band: BandSpec
-    amplitude_mask_ratio: float = 1e-8
     phase_gate_ratio: float = 1e-3
-    gate_smooth_s: float = 0.05
     denoise_sigma_bins: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= -1):
             raise ValueError(f"alpha must be finite and >= -1, got {self.alpha}")
-        if not (self.amplitude_mask_ratio >= 0 and self.phase_gate_ratio >= 0):
-            raise ValueError("mask and gate ratios must be non-negative")
-        if not self.gate_smooth_s > 0:
-            raise ValueError(f"gate_smooth_s must be positive, got {self.gate_smooth_s}")
+        if not self.phase_gate_ratio >= 0:
+            raise ValueError(f"phase_gate_ratio must be non-negative, got {self.phase_gate_ratio}")
         if not self.denoise_sigma_bins >= 0:
             raise ValueError(f"denoise_sigma_bins must be >= 0 (0 = off), got {self.denoise_sigma_bins}")
 
@@ -136,30 +136,15 @@ def unwrap_phase(series: np.ndarray, axis: int = -1) -> np.ndarray:
     return out
 
 
-def temporal_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1) -> np.ndarray:
-    """Ideal frequency-domain bandpass: DFT bins with |f| in [f_lo, f_hi] kept, others zeroed."""
-    x = np.asarray(series, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValueError("series contains non-finite samples")
-    band.validate(fps)
-    n = x.shape[axis]
-    freqs = np.fft.rfftfreq(n, 1.0 / fps)
-    keep = (freqs >= band.f_lo) & (freqs <= band.f_hi)
-    shape = [1] * x.ndim
-    shape[axis % x.ndim] = -1
-    spectrum = sfft.rfft(x, axis=axis, workers=-1) * keep.reshape(shape)
-    return sfft.irfft(spectrum, n, axis=axis, workers=-1)
-
-
 def dct_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1) -> np.ndarray:
     """Ideal bandpass of the even (mirrored) extension of the series.
 
-    The mirror removes the periodic wrap discontinuity of the plain DFT
-    filter (temporal_bandpass), which otherwise turns phase ramps (e.g. a
-    target crossing bins) into broadband in-band leakage.  Filtering the
-    extension [x, flip(x)] and keeping its first half is exactly masking
-    the DCT-II of x (Martucci, IEEE TSP 1994): DCT bin k, at frequency
-    k * fps / (2n), is kept when it lies in [f_lo, f_hi].
+    The mirror removes the periodic wrap discontinuity of a plain DFT
+    filter, which otherwise turns phase ramps (e.g. a target crossing bins)
+    into broadband in-band leakage.  Filtering the extension [x, flip(x)]
+    and keeping its first half is exactly masking the DCT-II of x
+    (Martucci, IEEE TSP 1994): DCT bin k, at frequency k * fps / (2n), is
+    kept when it lies in [f_lo, f_hi].
     """
     x = np.asarray(series, dtype=np.float64)
     if not np.isfinite(x).all():
@@ -200,7 +185,7 @@ def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
     amplitude = np.abs(level)
     peak = amplitude.max()
     if cfg.phase_gate_ratio > 0 and peak > 0:
-        _gate_phase(phase, amplitude >= cfg.phase_gate_ratio * peak, cfg.gate_smooth_s * fps)
+        _gate_phase(phase, amplitude >= cfg.phase_gate_ratio * peak, GATE_SMOOTH_S * fps)
     if cfg.denoise_sigma_bins > 0:
         weights = amplitude * amplitude
         num = gaussian_filter1d(weights * phase, cfg.denoise_sigma_bins, axis=0, mode="constant")
@@ -208,8 +193,7 @@ def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
         phase = num / (den + 1e-8 * max(den.max(), 1e-300))
     filtered = dct_bandpass(phase, fps, cfg.band, axis=1)
     del phase
-    if cfg.amplitude_mask_ratio > 0 and peak > 0:
-        filtered[amplitude < cfg.amplitude_mask_ratio * peak] = 0.0
+    filtered[amplitude < AMPLITUDE_MASK_RATIO * peak] = 0.0
     del amplitude
     filtered *= cfg.alpha
     rotation = np.empty_like(level)
@@ -246,27 +230,24 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
                      wspec: WindowSpec) -> Radargram:
     """Window-at-a-time magnification for long records.
 
-    Each window is magnified independently and the output keeps the central
-    shift_s seconds of every window (overlap-discard stitching), which keeps
-    filter edge transients out of the result.  Leading/trailing segments not
-    covered by any window center come from the first/last window.
+    Windows are cut by radargram.windows, plus one window ending at the last
+    frame when those stop short of it.  Each window is magnified on its own
+    and window i keeps frames [start_i + margin, start_{i+1} + margin), the
+    centre of the window (overlap-discard stitching), which keeps filter edge
+    transients out of the result; the first window keeps from frame 0 and
+    the last one up to the end of the record.
     """
     length, shift = wspec.frames(r.fps)
     if r.n_frames < length:
         return magnify(r, bank, cfg)
-    out = np.empty_like(r.data)
+    cut = windows(r, wspec)
+    if cut[-1][0] + length < r.n_frames:
+        cut.append((r.n_frames - length, r.with_data(r.data[:, -length:])))
     margin = (length - shift) // 2
-    start = 0
-    while True:
-        last = start + length >= r.n_frames - shift + 1
-        window = r.with_data(r.data[:, start : start + length])
-        magnified = magnify(window, bank, cfg).data
-        lo = 0 if start == 0 else start + margin
-        hi = r.n_frames if last else start + margin + shift
-        out[:, lo:hi] = magnified[:, lo - start : hi - start]
-        if last:
-            break
-        start += shift
+    bounds = [0] + [start + margin for start, _ in cut[1:]] + [r.n_frames]
+    out = np.empty_like(r.data)
+    for (start, window), lo, hi in zip(cut, bounds, bounds[1:]):
+        out[:, lo:hi] = magnify(window, bank, cfg).data[:, lo - start : hi - start]
     return r.with_data(out)
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from warnings import warn
 
 import numpy as np
 from scipy import linalg
@@ -39,6 +38,8 @@ class Dataset:
 
     @classmethod
     def from_rows(cls, rows: list[FeatureRow], feature_names=None, groups=None) -> "Dataset":
+        if not rows:
+            raise ValueError("no labelled feature rows")
         if any(r.label_bpm is None for r in rows):
             raise ValueError("all rows need labels to build a dataset")
         X = np.stack([r.features for r in rows])
@@ -168,10 +169,11 @@ class ModelReport:
 
 
 def fit_ols(train: Dataset, ridge: float = 0.0) -> LinearModel:
-    """Least squares with optional L2 penalty, solved by normal equations.
+    """Least squares with optional L2 penalty.
 
-    Features and labels are centered so the intercept is unpenalized.  A
-    singular system at ridge = 0 falls back to ridge = 1e-8 with a warning.
+    Features and labels are centered so the intercept is unpenalized; a
+    ridge > 0 appends sqrt(ridge) * I rows with zero targets.  A
+    rank-deficient system gets the minimum-norm solution.
     """
     if len(train) < 2:
         raise ValueError("need at least 2 rows")
@@ -180,17 +182,13 @@ def fit_ols(train: Dataset, ridge: float = 0.0) -> LinearModel:
     X, y = train.X, train.y
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
-    Xc = X - x_mean
-    gram = Xc.T @ Xc + ridge * np.eye(X.shape[1])
-    rhs = Xc.T @ (y - y_mean)
-    try:
-        w = linalg.solve(gram, rhs, assume_a="pos")
-    except linalg.LinAlgError:
-        warn(f"singular normal equations at ridge={ridge}; retrying with ridge=1e-8", stacklevel=2)
-        w = linalg.solve(gram + 1e-8 * np.eye(X.shape[1]), rhs, assume_a="pos")
-    if not np.isfinite(w).all():
-        warn(f"non-finite solution at ridge={ridge}; retrying with ridge=1e-8", stacklevel=2)
-        w = linalg.solve(gram + 1e-8 * np.eye(X.shape[1]), rhs, assume_a="pos")
+    A = X - x_mean
+    b = y - y_mean
+    if ridge > 0:
+        d = X.shape[1]
+        A = np.vstack([A, np.sqrt(ridge) * np.eye(d)])
+        b = np.concatenate([b, np.zeros(d)])
+    w = linalg.lstsq(A, b)[0]
     return LinearModel(weights=w, intercept=float(y_mean - x_mean @ w), ridge=ridge)
 
 

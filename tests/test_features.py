@@ -4,7 +4,9 @@ import pytest
 from radarmag import (BandSpec, LevelSignal, Radargram, SceneSpec, TargetSpec,
                       WindowSpec, default_bank, feature_names, featurize,
                       fft_peak_bpm, level_signals, read_features_csv,
-                      read_labels_csv, simulate, write_features_csv, zcr_hz)
+                      read_labels_csv, save_radargram, simulate, write_features_csv,
+                      zcr_hz)
+from radarmag.cli import main
 
 from scenes import BREATHER_ROI, breather_scene
 
@@ -138,7 +140,7 @@ class TestFeaturize:
             assert np.allclose(a.features, b.features, rtol=1e-10)
             assert a.label_bpm == pytest.approx(b.label_bpm, rel=1e-10)
 
-    def test_labels_csv_reader(self, tmp_path):
+    def test_labels_csv_reader(self, tmp_path, capsys):
         path = tmp_path / "labels.csv"
         path.write_text("time_s,bpm\n0,60\n1,62\n2,64\n")
         labels = read_labels_csv(str(path))
@@ -147,3 +149,22 @@ class TestFeaturize:
         bare = tmp_path / "bare.csv"
         bare.write_text("0,60\n1,62\n")
         assert read_labels_csv(str(bare)).shape == (2, 2)
+        # malformed files: one line naming the file and line, also as a CLI error
+        rgrm = str(tmp_path / "r.rgrm")
+        save_radargram(Radargram(np.zeros((64, 100)), fps=20.0, bin_spacing=0.01), rgrm)
+        for text, line in [("time_s,bpm,posture\n0,60,1\n1,62,1\n", 2),  # three columns
+                           ("0\n1\n", 1),                                # one column
+                           ("", 1),                                      # empty file
+                           ("time_s,bpm\n", 2),                          # header only
+                           ("time_s,bpm\n0,60\nabc,62\n", 3),            # text in the body
+                           ("0,60\n1,nan\n", 2)]:                        # non-finite value
+            bad = tmp_path / "bad.csv"
+            bad.write_text(text)
+            message = f"{bad}:{line}: expected two numeric columns (time_s, bpm)"
+            with pytest.raises(ValueError) as exc:
+                read_labels_csv(str(bad))
+            assert str(exc.value) == message
+            code = main(["features", rgrm, "-o", str(tmp_path / "f.csv"), "--band", "0.1:0.7",
+                         "--window", "4:2", "--roi", "10:20", "--labels", str(bad)])
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {message}"], text

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -102,13 +103,23 @@ class TestOls:
         assert mae < 0.01
 
     def test_singular_at_zero_ridge_falls_back(self):
+        # a duplicated column gets the minimum-norm split, without a warning
         rng = np.random.default_rng(3)
         x = rng.standard_normal(40)
         X = np.column_stack([x, x])
         y = x.copy()
-        with pytest.warns(UserWarning, match="singular"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             model = fit_ols(Dataset(X, y), ridge=0.0)
-        assert np.isfinite(model.weights).all()
+        assert np.allclose(model.weights, [0.5, 0.5], atol=1e-12)
+        assert model.intercept == pytest.approx(0.0, abs=1e-12)
+
+    def test_ridge_matches_closed_form(self):
+        data = linear_dataset(n=50, noise=0.5, seed=6)
+        ridge = 3.0
+        Xc = data.X - data.X.mean(axis=0)
+        w = np.linalg.solve(Xc.T @ Xc + ridge * np.eye(2), Xc.T @ (data.y - data.y.mean()))
+        assert np.allclose(fit_ols(data, ridge=ridge).weights, w, rtol=1e-10, atol=0)
 
     def test_residual_orthogonality(self):
         data = linear_dataset(n=200, noise=0.3, seed=4)

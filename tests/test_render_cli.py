@@ -53,6 +53,13 @@ class TestRender:
         assert np.array_equal(read_ppm(path), image)
 
 
+@pytest.fixture(scope="module")
+def scene_rgrm(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("scene") / "scene.rgrm")
+    assert main(["simulate", "configs/validation_scene.cfg", "-o", path]) == 0
+    return path
+
+
 class TestCli:
     def test_simulate_magnify_render_features_train_eval(self, tmp_path, capsys):
         scene = "configs/validation_scene.cfg"
@@ -97,6 +104,21 @@ class TestCli:
         predictions = str(tmp_path / "pred.csv")
         assert main(["eval", model, feats2, "-o", predictions]) == 0
         assert "MAE" in capsys.readouterr().out
+
+    def test_windowed_magnify_covers_the_tail(self, scene_rgrm, tmp_path):
+        # 3 s windows at a 2 s shift stop 1 s short of the 10 s record's end
+        out = str(tmp_path / "mag.rgrm")
+        assert main(["magnify", scene_rgrm, out, "--alpha", "2", "--band", "40:50",
+                     "--bank", "configs/magnify_bank.cfg", "--window", "3:2"]) == 0
+        assert load_radargram(out).data.shape == load_radargram(scene_rgrm).data.shape
+
+    def test_train_on_empty_feature_csv_is_user_error(self, scene_rgrm, tmp_path, capsys):
+        feats = str(tmp_path / "f.csv")
+        assert main(["features", scene_rgrm, "-o", feats, "--band", "40:50",
+                     "--window", "50:5", "--roi", "100:156"]) == 0   # longer than the record
+        capsys.readouterr()
+        assert main(["train", feats, "-o", str(tmp_path / "m.bin")]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: no labelled feature rows"]
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = str(tmp_path / "a.rgrm"), str(tmp_path / "b.rgrm")
