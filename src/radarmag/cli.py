@@ -24,40 +24,25 @@ from .render import render_heatmap, write_ppm
 from .simulate import load_scene_config, save_truth_csv, simulate
 
 
-def _band(text: str) -> BandSpec:
-    """Parse LO:HI in Hz."""
-    try:
-        lo, _, hi = text.partition(":")
-        return BandSpec(float(lo), float(hi))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad band {text!r}: {exc}") from None
+def _pair(name: str, convert, build):
+    """argparse type for an A:B flag: both halves through convert, then build(a, b)."""
+    def parse(text: str):
+        try:
+            parts = [convert(part) for part in text.split(":")]
+            if len(parts) != 2:
+                raise ValueError("expected two values separated by ':'")
+            if not np.isfinite(parts).all():
+                raise ValueError("values must be finite")
+            return build(*parts)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {name} {text!r}: {exc}") from None
+    return parse
 
 
-def _window(text: str) -> WindowSpec:
-    """Parse LENGTH:SHIFT in seconds."""
-    try:
-        length, _, shift = text.partition(":")
-        return WindowSpec(float(length), float(shift))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad window {text!r}: {exc}") from None
-
-
-def _roi(text: str) -> RangeROI:
-    """Parse FIRST:LAST inclusive bin indices."""
-    try:
-        first, _, last = text.partition(":")
-        return RangeROI(int(first), int(last))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad roi {text!r}: {exc}") from None
-
-
-def _clip(text: str) -> tuple[float, float]:
-    """Parse LO:HI percentiles."""
-    try:
-        lo, _, hi = text.partition(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad clip {text!r}: expected LO:HI percentiles") from None
+_band = _pair("band", float, BandSpec)
+_window = _pair("window", float, WindowSpec)
+_roi = _pair("roi", int, RangeROI)
+_clip = _pair("clip", float, lambda lo, hi: (lo, hi))
 
 
 class UsageError(Exception):
@@ -90,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="radargram file format (default binary)")
 
     p = sub.add_parser("magnify", help="magnify in-band motion of a radargram")
-    p.add_argument("input", help="input radargram (binary)")
+    p.add_argument("input", help="input radargram (binary or CSV)")
     p.add_argument("output", help="output radargram (binary)")
     p.add_argument("--alpha", type=float, required=True,
                    help="amplification factor (dimensionless, >= -1; output motion is (1+alpha)x)")
@@ -105,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="amplitude-weighted spatial phase smoothing sigma in bins (default off)")
 
     p = sub.add_parser("features", help="extract per-window spectral-peak and zcr features")
-    p.add_argument("input", help="input radargram (binary)")
+    p.add_argument("input", help="input radargram (binary or CSV)")
     p.add_argument("-o", "--output", required=True, help="output feature CSV")
     p.add_argument("--band", type=_band, required=True,
                    help="phase bandpass and peak search band LO:HI in Hz")
@@ -136,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the evaluation report (text) here")
 
     p = sub.add_parser("render", help="render a radargram heatmap to binary PPM")
-    p.add_argument("input", help="input radargram (binary)")
+    p.add_argument("input", help="input radargram (binary or CSV)")
     p.add_argument("output", help="output PPM image")
     p.add_argument("--colormap", choices=("gray", "jet"), default="jet",
                    help="colormap (default jet)")

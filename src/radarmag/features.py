@@ -127,10 +127,14 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     a (time_s, bpm) array; each window's label is the mean bpm over the
     window.  alpha != 0 magnifies each window before extraction (the band
     doubles as the magnification passband).  Windows that fail are skipped
-    with a warning.
+    with a warning; a record shorter than one window is a ValueError.
     """
+    cut = windows(r, wspec)
+    if not cut:
+        raise ValueError(f"record of {r.duration_s:g} s is shorter than one "
+                         f"{wspec.length_s:g} s window")
     rows = []
-    for start, window in windows(r, wspec):
+    for start, window in cut:
         start_s = start / r.fps
         try:
             if alpha != 0.0:

@@ -23,13 +23,17 @@ import numpy as np
 from scipy import fft as sfft
 from scipy import ndimage
 
-from .radargram import FormatError
+from .radargram import FormatError, config_number, read_config
 
 DEFAULT_WAVELENGTHS = (75.0, 15.0, 10.0, 9.0, 7.0, 5.0, 4.0)
 DEFAULT_BANDWIDTH_DIVISOR = 15.0
 DEFAULT_SUPPORT_MULTIPLIER = 4.0
 
 RESPONSE_FLOOR_RATIO = 1e-6
+
+# Below about 0.03 bins a kernel samples to one bin anyway, and below about
+# 1e-77 its 1/sigma**2 gain overflows the squared synthesis response.
+MIN_SIGMA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,8 @@ class GaborParams:
     def __post_init__(self):
         if not self.wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not self.sigma >= MIN_SIGMA:
+            raise ValueError(f"sigma must be at least {MIN_SIGMA} bins, got {self.sigma}")
         if self.support_radius < int(np.ceil(4 * self.sigma)):
             raise ValueError(
                 f"support_radius {self.support_radius} below ceil(4*sigma)={int(np.ceil(4 * self.sigma))}")
@@ -156,7 +160,10 @@ def make_bank(wavelengths=DEFAULT_WAVELENGTHS, bandwidth_divisor=DEFAULT_BANDWID
         pairs = sorted(zip(wavelengths, sigmas), key=lambda p: -p[0])
         wl = [float(w) for w, _ in pairs]
         sig = [float(s) for _, s in pairs]
-    params = [GaborParams(w, s, int(np.ceil(support_multiplier * s))) for w, s in zip(wl, sig)]
+    radii = [support_multiplier * s for s in sig]
+    if not np.isfinite(radii).all():
+        raise ValueError(f"support radii {radii} are not finite")
+    params = [GaborParams(w, s, int(np.ceil(r))) for w, s, r in zip(wl, sig, radii)]
     return GaborBank(params)
 
 
@@ -187,38 +194,29 @@ def load_bank_config(path: str) -> GaborBank:
     which take precedence over the divisor rule.
     """
     wavelengths = None
-    divisor = DEFAULT_BANDWIDTH_DIVISOR
-    mult = DEFAULT_SUPPORT_MULTIPLIER
     levels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key == "wavelengths":
-                    wavelengths = [float(v) for v in value.split(",")]
-                elif key == "bandwidth_divisor":
-                    divisor = float(value)
-                elif key == "support_multiplier":
-                    mult = float(value)
-                elif key == "level":
-                    wl, _, sig = value.partition(":")
-                    levels.append((float(wl), float(sig)))
-                else:
-                    raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: bad value {value!r} for {key!r}") from None
+    settings = {"bandwidth_divisor": DEFAULT_BANDWIDTH_DIVISOR,
+                "support_multiplier": DEFAULT_SUPPORT_MULTIPLIER}
+    for lineno, key, value in read_config(path):
+        if key == "wavelengths":
+            wavelengths = [config_number(path, lineno, key, v) for v in value.split(",")]
+        elif key == "level":
+            wl, _, sig = value.partition(":")
+            levels.append((config_number(path, lineno, key, wl),
+                           config_number(path, lineno, key, sig)))
+        elif key in settings:
+            settings[key] = config_number(path, lineno, key, value)
+        else:
+            raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+    sigmas = None
     if levels:
-        return make_bank([w for w, _ in levels], support_multiplier=mult,
-                         sigmas=[s for _, s in levels])
-    if wavelengths is None:
+        wavelengths, sigmas = [w for w, _ in levels], [s for _, s in levels]
+    elif wavelengths is None:
         raise FormatError(f"{path}: config must define 'wavelengths' or 'level' entries")
-    return make_bank(wavelengths, bandwidth_divisor=divisor, support_multiplier=mult)
+    try:
+        return make_bank(wavelengths, sigmas=sigmas, **settings)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _analysis_input(signal: np.ndarray, bank: GaborBank, mode: str):

@@ -7,7 +7,10 @@ spacing, range offset of the first bin).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +22,7 @@ _HEADER = struct.Struct("<4sIII ddd".replace(" ", ""))
 
 
 class FormatError(ValueError):
-    """Raised when a radargram file or sidecar cannot be parsed."""
+    """Raised when a radargram file, sidecar or config file cannot be parsed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +46,11 @@ class Radargram:
             raise ValueError(f"radargram must have at least 1 bin and 1 frame, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("radargram contains non-finite samples")
-        if not self.fps > 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
-        if not self.bin_spacing > 0:
-            raise ValueError(f"bin_spacing must be positive, got {self.bin_spacing}")
+        for name in ("fps", "bin_spacing"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not math.isfinite(self.t0_offset):
+            raise ValueError(f"t0_offset must be finite, got {self.t0_offset}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -162,50 +166,85 @@ def save_radargram(r: Radargram, path: str, format: str = "binary") -> None:
         raise ValueError(f"unknown format {format!r}, expected 'binary' or 'csv'")
 
 
-def load_radargram(path: str, format: str = "binary") -> Radargram:
-    """Read a radargram written by save_radargram."""
-    if format == "binary":
-        return _load_binary(path)
-    if format == "csv":
-        return _load_csv(path)
-    raise ValueError(f"unknown format {format!r}, expected 'binary' or 'csv'")
+def load_radargram(path: str) -> Radargram:
+    """Read a radargram written by save_radargram, in either format.
 
-
-def _load_binary(path: str) -> Radargram:
+    A file that starts with the RGRM magic is binary; any other file is read
+    as CSV when its ``<path>.meta`` sidecar exists.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise FormatError(f"{path}: truncated header")
-        magic, version, n_bins, n_frames, fps, bin_spacing, t0 = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported format version {version}")
-        payload = fh.read(8 * n_bins * n_frames)
-    if len(payload) != 8 * n_bins * n_frames:
-        raise FormatError(f"{path}: expected {n_bins}x{n_frames} float64 samples, file too short")
-    data = np.frombuffer(payload, dtype="<f8").reshape(n_bins, n_frames)
-    if not np.isfinite(data).all():
-        raise FormatError(f"{path}: non-finite samples")
-    return Radargram(data, fps=fps, bin_spacing=bin_spacing, t0_offset=t0)
+        if header.startswith(MAGIC):
+            return _load_binary(path, fh, header)
+    if os.path.exists(path + ".meta"):
+        return _load_csv(path)
+    raise FormatError(f"{path}: bad magic {header[:len(MAGIC)]!r}")
+
+
+def _load_binary(path: str, fh, header: bytes) -> Radargram:
+    if len(header) < _HEADER.size:
+        raise FormatError(f"{path}: truncated header")
+    _, version, n_bins, n_frames, fps, bin_spacing, t0 = _HEADER.unpack(header)
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported format version {version}")
+    size = 8 * n_bins * n_frames
+    held = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if size != held:
+        raise FormatError(f"{path}: header declares {n_bins}x{n_frames} float64 samples "
+                          f"({size} bytes), file holds {held}")
+    data = np.frombuffer(fh.read(size), dtype="<f8").reshape(n_bins, n_frames)
+    return _radargram(path, data, fps, bin_spacing, t0)
+
+
+def _radargram(path: str, data, fps, bin_spacing, t0_offset) -> Radargram:
+    """The loaded record, with the constructor's validation errors naming the file."""
+    try:
+        return Radargram(data, fps=fps, bin_spacing=bin_spacing, t0_offset=t0_offset)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def read_config(path: str, sections=()) -> list[tuple[int, str, str | None]]:
+    """Entries of a key=value file as (line number, key, value).
+
+    ``#`` starts a comment anywhere on a line and blank lines are skipped.
+    A ``[name]`` line with a name in ``sections`` is returned as
+    (line number, ``"[name]"``, None); any other section, or a line without
+    ``=``, raises FormatError naming the file and line.
+    """
+    entries = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                if line[1:-1].strip() not in sections:
+                    raise FormatError(f"{path}:{lineno}: unknown section {line!r}")
+                entries.append((lineno, line, None))
+            elif "=" in line:
+                key, _, value = line.partition("=")
+                entries.append((lineno, key.strip(), value.strip()))
+            else:
+                raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
+    return entries
+
+
+def config_number(path: str, lineno: int, key: str, text: str) -> float:
+    """A config value as a finite float, else FormatError naming the file and line."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise FormatError(f"{path}:{lineno}: bad value {text.strip()!r} for {key!r}")
+    return value
 
 
 def read_sidecar(path: str) -> dict:
-    """Parse a key=value sidecar file; values are floats."""
-    meta = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            try:
-                meta[key.strip()] = float(value.strip())
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric value {value.strip()!r}") from None
-    return meta
+    """Parse a key=value sidecar file; values are finite floats."""
+    return {key: config_number(path, lineno, key, value)
+            for lineno, key, value in read_config(path)}
 
 
 def _load_csv(path: str) -> Radargram:
@@ -214,14 +253,13 @@ def _load_csv(path: str) -> Radargram:
         if key not in meta:
             raise FormatError(f"{path}.meta: missing required key {key!r}")
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # empty file; its shape is rejected below
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    if "n_bins" in meta and data.shape[0] != int(meta["n_bins"]):
-        raise FormatError(f"{path}: {data.shape[0]} rows but sidecar declares n_bins={int(meta['n_bins'])}")
-    if "n_frames" in meta and data.shape[1] != int(meta["n_frames"]):
-        raise FormatError(f"{path}: {data.shape[1]} columns but sidecar declares n_frames={int(meta['n_frames'])}")
-    if not np.isfinite(data).all():
-        raise FormatError(f"{path}: non-finite samples")
-    return Radargram(data, fps=meta["fps"], bin_spacing=meta["bin_spacing"],
-                     t0_offset=meta.get("t0_offset", 0.0))
+    declared = (int(meta.get("n_bins", data.shape[0])), int(meta.get("n_frames", data.shape[1])))
+    if data.shape != declared:
+        raise FormatError(f"{path}: {data.shape[0]}x{data.shape[1]} samples but sidecar declares "
+                          f"n_bins={declared[0]}, n_frames={declared[1]}")
+    return _radargram(path, data, meta["fps"], meta["bin_spacing"], meta.get("t0_offset", 0.0))

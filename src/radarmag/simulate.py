@@ -6,12 +6,12 @@ estimator used to validate magnification runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy.signal import hilbert
 
-from .radargram import FormatError, Radargram, RangeROI
+from .radargram import FormatError, Radargram, RangeROI, config_number, read_config
 
 TARGET_KINDS = ("sinusoid", "static", "linear")
 
@@ -64,12 +64,15 @@ class SceneSpec:
     pulse_carrier_bins: float = 6.0
 
     def __post_init__(self):
-        if self.duration_s * self.fps < 2:
-            raise ValueError("scene must span at least 2 frames")
+        if not 2 <= self.duration_s * self.fps < np.inf:
+            raise ValueError(f"scene must span at least 2 and finitely many frames, "
+                             f"got duration_s * fps = {self.duration_s * self.fps:g}")
         if self.n_bins < 1 or self.bin_spacing <= 0:
             raise ValueError("need n_bins >= 1 and bin_spacing > 0")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
+        if not (0 < self.pulse_sigma_bins <= self.n_bins and self.pulse_carrier_bins > 0):
+            raise ValueError("need 0 < pulse_sigma_bins <= n_bins and pulse_carrier_bins > 0")
         for tg in self.targets:
             if tg.kind == "sinusoid" and tg.freq_hz >= self.fps / 2:
                 raise ValueError(
@@ -85,12 +88,18 @@ class SceneSpec:
         return int(np.floor(self.duration_s * self.fps + 0.5))
 
 
+_SCENE_KEYS = {f.name for f in fields(SceneSpec)} - {"targets"}
+_TARGET_KEYS = {f.name for f in fields(TargetSpec)}
+
+
 def pulse_template(offset_bins: np.ndarray, sigma_bins: float, carrier_bins: float) -> np.ndarray:
     """Gaussian-windowed cosine evaluated at continuous bin offsets."""
     return np.exp(-(offset_bins**2) / (2.0 * sigma_bins**2)) * np.cos(
         2.0 * np.pi * offset_bins / carrier_bins)
 
 
+# overflow from extreme scene values gives infinite positions or samples, rejected below
+@np.errstate(over="ignore")
 def simulate(scene: SceneSpec, seed: int = 0) -> tuple[Radargram, np.ndarray]:
     """Render a scene deterministically.
 
@@ -153,72 +162,36 @@ def estimate_displacement(r: Radargram, roi: RangeROI) -> np.ndarray:
 
 
 def load_scene_config(path: str) -> SceneSpec:
-    """Parse a scene config: key=value header plus repeated [target] blocks."""
-    header: dict[str, float] = {}
-    targets: list[dict] = []
-    current: dict | None = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line == "[target]":
-                current = {}
-                targets.append(current)
-                continue
-            if line.startswith("["):
-                raise FormatError(f"{path}:{lineno}: unknown section {line!r}")
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            dest = current if current is not None else header
-            if key == "kind":
-                if current is None:
-                    raise FormatError(f"{path}:{lineno}: 'kind' outside a [target] block")
-                if value not in TARGET_KINDS:
-                    raise FormatError(f"{path}:{lineno}: unknown target kind {value!r}")
-                current["kind"] = value
-                continue
-            try:
-                dest[key] = float(value)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric value {value!r} for {key!r}") from None
+    """Parse a scene config: key=value header plus repeated [target] blocks.
 
-    for key in ("duration_s", "fps", "n_bins", "bin_spacing"):
-        if key not in header:
-            raise FormatError(f"{path}: missing required key {key!r}")
-    parsed_targets = []
-    for i, tg in enumerate(targets):
-        if "kind" not in tg:
-            raise FormatError(f"{path}: target {i} is missing 'kind'")
-        if "center_range_m" not in tg:
-            raise FormatError(f"{path}: target {i} is missing 'center_range_m'")
-        try:
-            parsed_targets.append(TargetSpec(
-                kind=tg["kind"],
-                center_range_m=tg["center_range_m"],
-                reflectivity=tg.get("reflectivity", 1.0),
-                amplitude_bins=tg.get("amplitude_bins", 0.0),
-                freq_hz=tg.get("freq_hz", 0.0),
-                velocity_mps=tg.get("velocity_mps", 0.0),
-            ))
-        except ValueError as exc:
-            raise FormatError(f"{path}: target {i}: {exc}") from None
+    Header keys are the SceneSpec fields and target keys the TargetSpec
+    fields; any other key is rejected with its line number.
+    """
+    header: dict = {}
+    targets: list[dict] = []
+    for lineno, key, value in read_config(path, sections=("target",)):
+        if value is None:
+            targets.append({})
+            continue
+        if key not in (_TARGET_KEYS if targets else _SCENE_KEYS):
+            raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+        block = targets[-1] if targets else header
+        block[key] = value if key == "kind" else config_number(path, lineno, key, value)
+    if "n_bins" in header:
+        header["n_bins"] = int(header["n_bins"])
+    parsed = tuple(_spec(TargetSpec, tg, f"{path}: target {i}") for i, tg in enumerate(targets))
+    return _spec(SceneSpec, dict(header, targets=parsed), path)
+
+
+def _spec(cls, values: dict, where: str):
+    """cls(**values), with missing required keys and validation errors naming ``where``."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in values:
+            raise FormatError(f"{where}: missing required key {f.name!r}")
     try:
-        return SceneSpec(
-            duration_s=header["duration_s"],
-            fps=header["fps"],
-            n_bins=int(header["n_bins"]),
-            bin_spacing=header["bin_spacing"],
-            targets=tuple(parsed_targets),
-            noise_sigma=header.get("noise_sigma", 0.0),
-            t0_offset=header.get("t0_offset", 0.0),
-            pulse_sigma_bins=header.get("pulse_sigma_bins", 3.0),
-            pulse_carrier_bins=header.get("pulse_carrier_bins", 6.0),
-        )
+        return cls(**values)
     except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        raise FormatError(f"{where}: {exc}") from None
 
 
 def save_truth_csv(truth: np.ndarray, fps: float, path: str) -> None:

@@ -98,11 +98,14 @@ def record():
 class TestFeaturize:
     def test_seven_windows_and_feature_length(self, record):
         bank = default_bank()
-        rows = featurize(record, bank, WindowSpec(30.0, 5.0), RR_BAND, BREATHER_ROI)
-        assert len(rows) == 7
-        for row in rows:
-            assert len(row.features) == 2 * len(bank)
-            assert np.isfinite(row.features).all()
+        for alpha in (0.0, 1.0):
+            rows = featurize(record, bank, WindowSpec(30.0, 5.0), RR_BAND, BREATHER_ROI,
+                             alpha=alpha)
+            assert len(rows) == 7
+            for row in rows:
+                assert len(row.features) == 2 * len(bank)
+                assert np.isfinite(row.features).all()
+                assert np.abs(row.features[:len(bank)] - 15.0).max() <= 0.5   # FFT peaks, bpm
 
     def test_feature_vector_length_tracks_bank(self, record):
         from radarmag import make_bank

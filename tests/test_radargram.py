@@ -63,6 +63,17 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             load_radargram(path)
 
+    def test_bad_header_values_name_the_file(self, tmp_path):
+        path = str(tmp_path / "r.rgrm")
+        for fps, sample in ((0.0, 1.0), (np.inf, 1.0), (10.0, np.nan)):
+            save_radargram(make_radargram(n_bins=2, n_frames=3), path)
+            blob = bytearray(open(path, "rb").read())
+            blob[16:24] = np.float64(fps).tobytes()
+            blob[-8:] = np.float64(sample).tobytes()
+            open(path, "wb").write(bytes(blob))
+            with pytest.raises(FormatError, match=f"^{path}: "):
+                load_radargram(path)
+
     def test_write_to_unwritable_location(self, tmp_path):
         r = make_radargram()
         with pytest.raises(OSError):
@@ -74,7 +85,7 @@ class TestCsvFormat:
         r = make_radargram(n_bins=5, n_frames=9)
         path = str(tmp_path / "r.csv")
         save_radargram(r, path, format="csv")
-        back = load_radargram(path, format="csv")
+        back = load_radargram(path)
         assert np.max(np.abs(back.data - r.data)) <= 1e-9
         assert back.fps == r.fps
 
@@ -83,7 +94,7 @@ class TestCsvFormat:
         np.savetxt(path, np.zeros((4, 4)), fmt="%.17g", delimiter=",")
         with open(path + ".meta", "w") as fh:
             fh.write("fps=100\nbin_spacing=0.05\n")
-        r = load_radargram(path, format="csv")
+        r = load_radargram(path)
         assert r.fps == 100.0
         assert np.array_equal(r.data, np.zeros((4, 4)))
 
@@ -97,7 +108,7 @@ class TestCsvFormat:
         with open(path + ".meta", "w") as fh:
             fh.write(meta)
         with pytest.raises(FormatError):
-            load_radargram(path, format="csv")
+            load_radargram(path)
 
     def test_sidecar_errors_carry_line_numbers(self, tmp_path):
         path = str(tmp_path / "r.csv")
@@ -105,7 +116,7 @@ class TestCsvFormat:
         with open(path + ".meta", "w") as fh:
             fh.write("fps=100\nnot a pair\n")
         with pytest.raises(FormatError, match=":2:"):
-            load_radargram(path, format="csv")
+            load_radargram(path)
 
 
 class TestWindows:

@@ -4,12 +4,12 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from radarmag import (Dataset, FeatureRow, Radargram, fit_ols, fit_rf, load_radargram,
-                      read_ppm, render_heatmap, save_model, simulate, write_features_csv,
-                      write_ppm)
+from radarmag import (Dataset, FeatureRow, Radargram, default_bank, feature_names, fit_ols,
+                      fit_rf, load_radargram, read_ppm, render_heatmap, save_model,
+                      save_radargram, simulate, write_features_csv, write_ppm)
 from radarmag.cli import main
 
 from scenes import validation_scene
@@ -115,10 +115,24 @@ class TestCli:
     def test_train_on_empty_feature_csv_is_user_error(self, scene_rgrm, tmp_path, capsys):
         feats = str(tmp_path / "f.csv")
         assert main(["features", scene_rgrm, "-o", feats, "--band", "40:50",
-                     "--window", "50:5", "--roi", "100:156"]) == 0   # longer than the record
-        capsys.readouterr()
+                     "--window", "50:5", "--roi", "100:156"]) == 1   # longer than the record
+        assert capsys.readouterr().err.splitlines() == [
+            "error: record of 10 s is shorter than one 50 s window"]
+        write_features_csv([], feature_names(default_bank()), feats)
         assert main(["train", feats, "-o", str(tmp_path / "m.bin")]) == 1
         assert capsys.readouterr().err.splitlines() == ["error: no labelled feature rows"]
+
+    def test_csv_record_reads_like_binary(self, tmp_path):
+        outputs = {}
+        for fmt, name in (("csv", "scene.csv"), ("binary", "scene.rgrm")):
+            record = str(tmp_path / name)
+            assert main(["simulate", "configs/validation_scene.cfg", "--seed", "2", "-o", record,
+                         "--format", fmt]) == 0
+            assert main(["render", record, record + ".ppm"]) == 0
+            assert main(["magnify", record, record + ".mag", "--alpha", "10", "--band", "40:50",
+                         "--bank", "configs/magnify_bank.cfg"]) == 0
+            outputs[fmt] = [open(record + ext, "rb").read() for ext in (".ppm", ".mag")]
+        assert outputs["csv"] == outputs["binary"]
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = str(tmp_path / "a.rgrm"), str(tmp_path / "b.rgrm")
@@ -197,13 +211,18 @@ def eval_inputs(tmp_path_factory):
     return root, blobs
 
 
+def run_cli(argv):
+    """Exit code and stderr lines of one radarmag run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
 def run_eval(root, model_bytes, features="features.csv"):
     """Exit code and stderr lines of `radarmag eval` on the given model bytes."""
     (root / "model.bin").write_bytes(model_bytes)
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["eval", str(root / "model.bin"), str(root / features)])
-    return code, err.getvalue().splitlines()
+    return run_cli(["eval", str(root / "model.bin"), str(root / features)])
 
 
 class TestEvalRejectsBadInput:
@@ -239,3 +258,125 @@ class TestEvalRejectsBadInput:
         feature_csv(root / "other.csv", n_columns, np.random.default_rng(n_columns))
         code, err = run_eval(root, blobs[kind], "other.csv")
         assert code == 1 and len(err) == 1 and f"expects {N_FEATURES} features" in err[0]
+
+
+@pytest.fixture(scope="module")
+def small_rgrm(tmp_path_factory):
+    """Directory and bytes of a valid 3 x 4 binary radargram."""
+    root = tmp_path_factory.mktemp("rgrm")
+    r = Radargram(np.random.default_rng(0).standard_normal((3, 4)), fps=10.0, bin_spacing=0.1)
+    save_radargram(r, str(root / "r.rgrm"))
+    return root, (root / "r.rgrm").read_bytes()
+
+
+def run_render(root, blob):
+    path = root / "bad.rgrm"
+    path.write_bytes(blob)
+    code, err = run_cli(["render", str(path), str(root / "x.ppm")])
+    assert code == 1 and len(err) == 1 and err[0].startswith(f"error: {path}: "), (code, err)
+    return err[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRadargramRejectsBadInput:
+    """Truncated or mis-sized .rgrm files exit 1 with one line, never 0 or 2."""
+
+    def test_every_truncation(self, small_rgrm):
+        root, blob = small_rgrm
+        for size in range(len(blob)):
+            run_render(root, blob[:size])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @example(1, 11).via("one sample short")
+    @example(13, 1).via("one sample over")
+    @example(2**20, 2**20).via("far beyond memory")
+    @example(2**32 - 1, 2**32 - 1).via("largest header")
+    def test_declared_shape_must_match_file_size(self, small_rgrm, n_bins, n_frames):
+        assume(n_bins * n_frames != 12)
+        root, blob = small_rgrm
+        header = blob[:8] + struct.pack("<II", n_bins, n_frames) + blob[16:]
+        assert "header declares" in run_render(root, header)
+
+
+BAD_VALUES = ("inf", "-inf", "nan", "1e308", "", "x")
+
+# Scene file: header block "" and one [target] block per kind
+SCENE = {"": dict(duration_s="2", fps="50", n_bins="64", bin_spacing="0.01", noise_sigma="0.01",
+                  t0_offset="0", pulse_sigma_bins="3", pulse_carrier_bins="6"),
+         "sinusoid": dict(kind="sinusoid", center_range_m="0.2", reflectivity="1",
+                          amplitude_bins="0.5", freq_hz="1"),
+         "linear": dict(kind="linear", center_range_m="0.4", reflectivity="0.5",
+                        velocity_mps="0.01")}
+SCENE_KEYS = [(block, key) for block, keys in SCENE.items() for key in keys]
+NUMERIC_SCENE_KEYS = [entry for entry in SCENE_KEYS if entry[1] != "kind"]
+
+# Bank files with one numeric field of each key left open
+BANKS = ["wavelengths = {}, 8\n",
+         "wavelengths = 16, 8\nbandwidth_divisor = {}\n",
+         "wavelengths = 16, 8\nsupport_multiplier = {}\n",
+         "level = {}:4\nlevel = 8:2\n",
+         "level = 16:{}\nlevel = 8:2\n"]
+
+
+def write_scene(path, edit=None, key=None, value=None):
+    """Write the test scene with entry ``edit`` = (block, key) replaced by
+    key = value; returns the line number of that entry."""
+    lines, edited = [], None
+    for block, entries in SCENE.items():
+        if block:
+            lines.append("[target]")
+        for k, v in entries.items():
+            if (block, k) == edit:
+                k, v, edited = key, value, len(lines) + 1
+            lines.append(f"{k} = {v}")
+    path.write_text("\n".join(lines) + "\n")
+    return edited
+
+
+def check_config_error(path, line, key, value, code, err):
+    """1e308 is finite, so some keys take it; every other value exits 1 naming file, line and key."""
+    if value == "1e308":
+        assert (code, len(err)) in ((0, 0), (1, 1)), (code, err)
+    else:
+        assert (code, err) == (1, [f"error: {path}:{line}: bad value {value!r} for {key!r}"])
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("configs")
+    write_scene(root / "scene.cfg")
+    assert run_cli(["simulate", str(root / "scene.cfg"), "-o", str(root / "scene.rgrm")])[0] == 0
+    return root
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestConfigFilesRejectBadInput:
+    """Non-finite, empty, non-numeric or misspelt config entries exit 1 with one line."""
+
+    @settings(max_examples=len(NUMERIC_SCENE_KEYS) * len(BAD_VALUES), deadline=None)
+    @given(st.sampled_from(NUMERIC_SCENE_KEYS), st.sampled_from(BAD_VALUES))
+    def test_scene_value(self, config_dir, entry, value):
+        path = config_dir / "bad_scene.cfg"
+        line = write_scene(path, entry, entry[1], value)
+        code, err = run_cli(["simulate", str(path), "-o", str(config_dir / "x.rgrm")])
+        check_config_error(path, line, entry[1], value, code, err)
+
+    @settings(max_examples=len(SCENE_KEYS), deadline=None)
+    @given(st.sampled_from(SCENE_KEYS))
+    def test_misspelt_scene_key(self, config_dir, entry):
+        path = config_dir / "bad_scene.cfg"
+        block, key = entry
+        line = write_scene(path, entry, key[:-1], SCENE[block][key])
+        code, err = run_cli(["simulate", str(path), "-o", str(config_dir / "x.rgrm")])
+        assert (code, err) == (1, [f"error: {path}:{line}: unknown key {key[:-1]!r}"])
+
+    @settings(max_examples=len(BANKS) * len(BAD_VALUES), deadline=None)
+    @given(st.sampled_from(BANKS), st.sampled_from(BAD_VALUES))
+    def test_bank_value(self, config_dir, template, value):
+        path = config_dir / "bank.cfg"
+        path.write_text(template.format(value))
+        line, text = next((i, t) for i, t in enumerate(template.splitlines(), 1) if "{}" in t)
+        code, err = run_cli(["magnify", str(config_dir / "scene.rgrm"), str(config_dir / "x.rgrm"),
+                             "--alpha", "1", "--band", "0.5:2", "--bank", str(path)])
+        check_config_error(path, line, text.split("=")[0].strip(), value, code, err)
