@@ -14,9 +14,8 @@ from .gabor import (GaborBank, GaborParams, Pyramid, decompose,
                     decompose_direct, default_bank, dyadic_bank,
                     load_bank_config, make_bank, make_gabor, reconstruct,
                     DEFAULT_WAVELENGTHS)
-from .magnify import (BandSpec, MagnifyConfig, SpectralDecomposition,
-                      dct_bandpass, global_magnify, magnify, magnify_windowed,
-                      unwrap_phase)
+from .magnify import (BandSpec, MagnifyConfig, dct_bandpass, global_magnify,
+                      magnify, magnify_windowed, unwrap_phase)
 from .simulate import (SceneSpec, TargetSpec, estimate_displacement,
                        load_scene_config, pulse_template, save_truth_csv, simulate)
 from .features import (FeatureRow, LevelSignal, feature_names, featurize,
@@ -33,7 +32,7 @@ __all__ = [
     "BandSpec", "Dataset", "FeatureRow", "ForestModel", "FormatError",
     "GaborBank", "GaborParams", "LevelSignal", "LinearModel", "MagnifyConfig",
     "ModelReport", "DEFAULT_WAVELENGTHS", "Pyramid", "Radargram", "RangeROI",
-    "SceneSpec", "SpectralDecomposition", "TargetSpec", "WindowSpec",
+    "SceneSpec", "TargetSpec", "WindowSpec",
     "dct_bandpass", "decompose", "decompose_direct",
     "default_bank", "dyadic_bank", "estimate_displacement", "feature_names",
     "featurize", "fft_peak_bpm", "fit_ols", "fit_rf", "global_magnify",

@@ -84,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=_window,
                    help="optional LENGTH:SHIFT seconds; process window-at-a-time with "
                         "overlap-discard stitching")
-    p.add_argument("--gate-ratio", type=float, default=1e-3,
-                   help="amplitude gate for phase filtering, fraction of level peak (default 1e-3)")
-    p.add_argument("--denoise-sigma", type=float, default=0.0,
-                   help="amplitude-weighted spatial phase smoothing sigma in bins (default off)")
 
     p = sub.add_parser("features", help="extract per-window spectral-peak and zcr features")
     p.add_argument("input", help="input radargram (binary or CSV)")
@@ -132,7 +128,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     scene = load_scene_config(args.scene)
-    r, truth = simulate(scene, seed=args.seed)
+    try:
+        r, truth = simulate(scene, seed=args.seed)
+    except (MemoryError, ValueError) as exc:   # e.g. n_bins = 1e12 cannot be allocated
+        raise ValueError(f"{args.scene}: {exc}") from None
     save_radargram(r, args.output, format=args.format)
     if args.truth:
         save_truth_csv(truth, scene.fps, args.truth)
@@ -141,9 +140,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_magnify(args) -> int:
-    cfg = MagnifyConfig(alpha=args.alpha, band=args.band,
-                        phase_gate_ratio=args.gate_ratio,
-                        denoise_sigma_bins=args.denoise_sigma)
+    cfg = MagnifyConfig(alpha=args.alpha, band=args.band)
     r = load_radargram(args.input)
     bank = _load_bank(args.bank)
     if args.window is not None:

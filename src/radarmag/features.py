@@ -11,7 +11,7 @@ import numpy as np
 
 from .gabor import GaborBank, decompose
 from .magnify import BandSpec, MagnifyConfig, dct_bandpass, magnify, unwrap_phase
-from .radargram import Radargram, RangeROI, WindowSpec, windows
+from .radargram import Radargram, RangeROI, WindowSpec, config_number, windows
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +49,7 @@ def level_signals(window: Radargram, bank: GaborBank, band: BandSpec,
     """
     roi.validate(window.n_bins)
     band.validate(window.fps)
-    pyr = decompose(window.data, bank, mode="linear")
+    pyr = decompose(window.data, bank)
     out = []
     for k, (params, level) in enumerate(zip(bank.levels, pyr.levels)):
         sub = level[roi.slice]
@@ -75,11 +75,8 @@ def fft_peak_bpm(signal: LevelSignal, search_band: BandSpec) -> float:
     if len(s) < 2:
         raise ValueError("series must have at least 2 samples")
     spectrum = np.abs(np.fft.rfft(s))
-    freqs = np.fft.rfftfreq(len(s), 1.0 / signal.fps)
-    inside = np.where((freqs >= search_band.f_lo) & (freqs <= search_band.f_hi))[0]
-    if len(inside) == 0:
-        raise ValueError(f"band [{search_band.f_lo}, {search_band.f_hi}] Hz contains no DFT bins")
-    k = inside[np.argmax(spectrum[inside])]
+    inside = search_band.bins(np.fft.rfftfreq(len(s), 1.0 / signal.fps))
+    k = inside.start + np.argmax(spectrum[inside])
     offset = 0.0
     if 0 < k < len(spectrum) - 1:
         y0, y1, y2 = spectrum[k - 1], spectrum[k], spectrum[k + 1]
@@ -198,19 +195,21 @@ def write_features_csv(rows: list[FeatureRow], names: list[str], path: str) -> N
 
 
 def read_features_csv(path: str) -> tuple[list[FeatureRow], list[str]]:
-    """Inverse of write_features_csv."""
+    """Inverse of write_features_csv: at least one row, every cell a finite
+    number except an empty label."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["window_start_s", "label_bpm"]:
             raise ValueError(f"{path}: not a feature CSV (header {header[:2]})")
-        names = header[2:]
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             parts = line.strip().split(",")
             if len(parts) != len(header):
-                raise ValueError(f"{path}: row with {len(parts)} fields, expected {len(header)}")
-            label = float(parts[1]) if parts[1] else None
-            rows.append(FeatureRow(window_start_s=float(parts[0]),
-                                   features=np.array([float(v) for v in parts[2:]]),
-                                   label_bpm=label))
-    return rows, names
+                raise ValueError(f"{path}:{lineno}: row with {len(parts)} fields, expected {len(header)}")
+            values = [None if (key, text) == ("label_bpm", "") else config_number(path, lineno, key, text)
+                      for key, text in zip(header, parts)]
+            rows.append(FeatureRow(window_start_s=values[0], features=np.array(values[2:]),
+                                   label_bpm=values[1]))
+    if not rows:
+        raise ValueError(f"{path}: no feature rows")
+    return rows, header[2:]

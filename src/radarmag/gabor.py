@@ -7,17 +7,18 @@ range-bin offsets,
 
     g(x) = 1 / (sqrt(2*pi) * sigma^2) * exp(-x^2 / (2*sigma^2)) * exp(i*omega*x)
 
-with omega = 2*pi / wavelength.  Convolving a profile with g yields complex
-coefficients whose argument tracks local sub-bin displacement.  Summing the
-levels after convolving each one again with its own kernel concentrates
-every level's net response into a non-negative |Psi|^2, and dividing by the
-aggregate response in the frequency domain restores unit gain.
+with omega = 2*pi / wavelength.  Convolving a profile with g (linear
+convolution: the profile is zero-padded, and the same-size central part is
+kept) yields complex coefficients whose argument tracks local sub-bin
+displacement.  Summing the levels after convolving each one again with its
+own kernel concentrates every level's net response into a non-negative
+|Psi|^2, and dividing by the aggregate response in the frequency domain
+restores unit gain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from warnings import warn
 
 import numpy as np
 from scipy import fft as sfft
@@ -114,14 +115,11 @@ class GaborBank:
         self._responses[m] = psis
         return psis
 
-    def transform_length(self, n: int, mode: str) -> int:
-        if mode == "linear":
-            # 5-smooth lengths only: radix-7/11 passes are slow (a 726 = 2*3*11^2
-            # point transform takes about twice as long as a 729 = 3^6 one)
-            return sfft.next_fast_len(n + 2 * self.max_radius, real=True)
-        if mode == "circular":
-            return n
-        raise ValueError(f"unknown convolution mode {mode!r}, expected 'linear' or 'circular'")
+    def transform_length(self, n: int) -> int:
+        """Zero-padded length for n samples: no kernel wraps around the signal."""
+        # 5-smooth lengths only: radix-7/11 passes are slow (a 726 = 2*3*11^2
+        # point transform takes about twice as long as a 729 = 3^6 one)
+        return sfft.next_fast_len(n + 2 * self.max_radius, real=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +133,6 @@ class Pyramid:
     source_len: int
     levels: tuple[np.ndarray, ...]
     bank: GaborBank
-    mode: str = "linear"
 
     def __post_init__(self):
         if len(self.levels) != len(self.bank):
@@ -167,14 +164,9 @@ def make_bank(wavelengths=DEFAULT_WAVELENGTHS, bandwidth_divisor=DEFAULT_BANDWID
     return GaborBank(params)
 
 
-def default_bank(signal_len: int | None = None) -> GaborBank:
+def default_bank() -> GaborBank:
     """The seven-wavelength bank {75, 15, 10, 9, 7, 5, 4} with sigma = wavelength/15."""
-    bank = make_bank(DEFAULT_WAVELENGTHS)
-    if signal_len is not None and signal_len < 2 * max(DEFAULT_WAVELENGTHS):
-        warn(f"signal length {signal_len} is below twice the longest wavelength "
-             f"({max(DEFAULT_WAVELENGTHS)}); coarse levels will be poorly resolved",
-             stacklevel=2)
-    return bank
+    return make_bank(DEFAULT_WAVELENGTHS)
 
 
 def dyadic_bank(n_levels: int, base_wavelength: float = 4.0,
@@ -219,7 +211,7 @@ def load_bank_config(path: str) -> GaborBank:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _analysis_input(signal: np.ndarray, bank: GaborBank, mode: str):
+def _analysis_input(signal: np.ndarray, bank: GaborBank):
     """Validated float64 signal plus its transform length and Hermitian half spectrum."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -230,7 +222,7 @@ def _analysis_input(signal: np.ndarray, bank: GaborBank, mode: str):
     support = 2 * bank.max_radius + 1
     if n < support:
         raise ValueError(f"signal length {n} shorter than largest kernel support {support}")
-    m = bank.transform_length(n, mode)
+    m = bank.transform_length(n)
     return x, m, sfft.rfft(x, n=m, axis=0, workers=-1)
 
 
@@ -291,24 +283,23 @@ class _Synthesis:
         return out[: self.n].copy()
 
 
-def decompose(signal: np.ndarray, bank: GaborBank, mode: str = "linear") -> Pyramid:
+def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
     """Convolve a profile (1-D) or radargram matrix (bins x frames) with every kernel.
 
-    mode 'linear' zero-pads and returns the same-size central part of the
-    linear convolution; 'circular' wraps at the signal length.  Either path
-    runs in the frequency domain and matches direct convolution to ~1e-13.
+    Returns the same-size central part of the linear convolution.  It runs
+    in the frequency domain and matches direct convolution to ~1e-13.
     """
-    x, m, half = _analysis_input(signal, bank, mode)
+    x, m, half = _analysis_input(signal, bank)
     n = x.shape[0]
     levels = []
     for psi in bank.freq_responses(m):
         buf = np.empty((m,) + x.shape[1:], dtype=np.complex128)
         _analyze_level(half, psi, buf)
         levels.append(buf[:n])
-    return Pyramid(source_len=n, levels=tuple(levels), bank=bank, mode=mode)
+    return Pyramid(source_len=n, levels=tuple(levels), bank=bank)
 
 
-def map_levels(signal: np.ndarray, bank: GaborBank, op, mode: str = "linear") -> np.ndarray:
+def map_levels(signal: np.ndarray, bank: GaborBank, op) -> np.ndarray:
     """Analyse, modify and resynthesize a signal one pyramid level at a time.
 
     For each level k, op(k, level) receives the complex coefficients
@@ -316,9 +307,9 @@ def map_levels(signal: np.ndarray, bank: GaborBank, op, mode: str = "linear") ->
     added into the synthesis spectrum before the next one is formed.  Only
     one level, the input half spectrum and the synthesis half spectrum are
     held at once.  An op that leaves its level unchanged returns exactly
-    reconstruct(decompose(signal, bank, mode), bank).
+    reconstruct(decompose(signal, bank), bank).
     """
-    x, m, half = _analysis_input(signal, bank, mode)
+    x, m, half = _analysis_input(signal, bank)
     n = x.shape[0]
     psis = bank.freq_responses(m)
     synthesis = _Synthesis(psis, n, x.shape[1:])
@@ -330,30 +321,27 @@ def map_levels(signal: np.ndarray, bank: GaborBank, op, mode: str = "linear") ->
     return synthesis.result()
 
 
-def decompose_direct(signal: np.ndarray, bank: GaborBank, mode: str = "linear") -> Pyramid:
+def decompose_direct(signal: np.ndarray, bank: GaborBank) -> Pyramid:
     """Reference decomposition via direct spatial convolution (oracle path).
 
     Real and imaginary kernel parts are convolved separately along the bin
-    axis; boundary handling matches decompose (zero padding or wrap).
+    axis, with zero padding as in decompose.
     """
     x = np.asarray(signal, dtype=np.float64)
-    boundary = "constant" if mode == "linear" else "wrap"
     levels = []
     for ker in bank.kernels:
-        real = ndimage.convolve1d(x, ker.real, axis=0, mode=boundary, cval=0.0)
-        imag = ndimage.convolve1d(x, ker.imag, axis=0, mode=boundary, cval=0.0)
+        real = ndimage.convolve1d(x, ker.real, axis=0, mode="constant", cval=0.0)
+        imag = ndimage.convolve1d(x, ker.imag, axis=0, mode="constant", cval=0.0)
         levels.append(real + 1j * imag)
-    return Pyramid(source_len=x.shape[0], levels=tuple(levels), bank=bank, mode=mode)
+    return Pyramid(source_len=x.shape[0], levels=tuple(levels), bank=bank)
 
 
 def reconstruct(pyr: Pyramid, bank: GaborBank) -> np.ndarray:
     """Collapse a pyramid back to a real profile or radargram matrix."""
     if pyr.bank is not bank and pyr.bank.wavelengths != bank.wavelengths:
         raise ValueError("pyramid was built by a different bank")
-    if len(pyr.levels) != len(bank):
-        raise ValueError(f"{len(pyr.levels)} levels for a {len(bank)}-level bank")
     n = pyr.source_len
-    psis = bank.freq_responses(bank.transform_length(n, pyr.mode))
+    psis = bank.freq_responses(bank.transform_length(n))
     frames = pyr.levels[0].shape[1:]
     synthesis = _Synthesis(psis, n, frames)
     buf = np.empty((psis.shape[1],) + frames, dtype=np.complex128)

@@ -3,12 +3,12 @@ over a radargram, plus the global FFT phase magnifier for pure translations.
 
 The per-level pipeline runs inside one analysis/synthesis loop over the
 Gabor bank (gabor.map_levels): for each level it unwraps every bin's
-coefficient phase along slow time, bandpasses it around the motion
-frequency, scales the result by alpha and rotates the coefficients by the
-scaled phase, then adds the level into the synthesis before forming the
-next.  Output displacement corresponds to (1 + alpha) times the input
-displacement; alpha in [-1, 0) attenuates and alpha = -1 removes in-band
-motion entirely.
+coefficient phase along slow time, gates it by amplitude, bandpasses it
+around the motion frequency, scales the result by alpha and rotates the
+coefficients by the scaled phase, then adds the level into the synthesis
+before forming the next.  Output displacement corresponds to (1 + alpha)
+times the input displacement; alpha in [-1, 0) attenuates and alpha = -1
+removes in-band motion entirely.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from .radargram import Radargram, WindowSpec, windows
 # Filtered phase is zeroed at coefficients below this fraction of the level's
 # peak amplitude.
 AMPLITUDE_MASK_RATIO = 1e-8
+# The raw unwrapped phase is gated, before filtering, by a temporally
+# smoothed mask of coefficients at or above this fraction of the level's
+# peak, so bins that are empty for part of the record cannot leak broadband
+# phase noise into the passband.
+PHASE_GATE_RATIO = 1e-3
 # Temporal smoothing sigma (seconds) of the phase gate's amplitude mask.
 GATE_SMOOTH_S = 0.05
 
@@ -46,60 +51,24 @@ class BandSpec:
         if self.f_hi > fps / 2 + 1e-12:
             raise ValueError(f"band [{self.f_lo}, {self.f_hi}] Hz exceeds Nyquist {fps / 2} Hz")
 
+    def bins(self, freqs: np.ndarray) -> slice:
+        """The run of ascending freqs inside [f_lo, f_hi]; ValueError if it is empty."""
+        lo, hi = np.searchsorted(freqs, self.f_lo, "left"), np.searchsorted(freqs, self.f_hi, "right")
+        if lo == hi:
+            raise ValueError(f"band [{self.f_lo}, {self.f_hi}] Hz contains no DFT bins")
+        return slice(lo, hi)
+
 
 @dataclass(frozen=True)
 class MagnifyConfig:
-    """Amplification settings.
-
-    alpha scales the bandpassed phase (alpha >= -1).  phase_gate_ratio
-    gates the raw unwrapped phase with a temporally smoothed amplitude
-    threshold (that fraction of the level's peak) before filtering, so bins
-    that are empty for part of the record cannot leak broadband phase noise
-    into the passband.  denoise_sigma_bins enables optional
-    amplitude-weighted spatial smoothing of the phase (0 = off).
-    """
+    """Amplification settings: alpha scales the phase bandpassed to band (alpha >= -1)."""
 
     alpha: float
     band: BandSpec
-    phase_gate_ratio: float = 1e-3
-    denoise_sigma_bins: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= -1):
             raise ValueError(f"alpha must be finite and >= -1, got {self.alpha}")
-        if not self.phase_gate_ratio >= 0:
-            raise ValueError(f"phase_gate_ratio must be non-negative, got {self.phase_gate_ratio}")
-        if not self.denoise_sigma_bins >= 0:
-            raise ValueError(f"denoise_sigma_bins must be >= 0 (0 = off), got {self.denoise_sigma_bins}")
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Whole-profile DFT coefficients indexed by non-negative spatial frequency.
-
-    Stores the half spectrum of a real profile; the negative-frequency
-    coefficients are the conjugates by construction, which is how the real
-    inverse transform consumes them.  A global translation by delta bins
-    multiplies coefficient k by exp(2i*pi*k*delta/n).
-    """
-
-    coefficients: np.ndarray
-    n_bins: int
-
-    @classmethod
-    def from_profile(cls, profile: np.ndarray) -> "SpectralDecomposition":
-        p = np.asarray(profile, dtype=np.float64)
-        if p.ndim != 1:
-            raise ValueError(f"expected a 1-D profile, got shape {p.shape}")
-        return cls(coefficients=np.fft.rfft(p), n_bins=len(p))
-
-    def to_profile(self) -> np.ndarray:
-        return np.fft.irfft(self.coefficients, self.n_bins)
-
-    def shifted(self, delta_bins: float) -> "SpectralDecomposition":
-        k = np.arange(len(self.coefficients))
-        ramp = np.exp(2j * np.pi * k * delta_bins / self.n_bins)
-        return SpectralDecomposition(self.coefficients * ramp, self.n_bins)
 
 
 def unwrap_phase(series: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -151,8 +120,8 @@ def dct_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1)
         raise ValueError("series contains non-finite samples")
     band.validate(fps)
     n = x.shape[axis]
-    freqs = np.fft.rfftfreq(2 * n, 1.0 / fps)[:n]
-    keep = (freqs >= band.f_lo) & (freqs <= band.f_hi)
+    keep = np.zeros(n)
+    keep[band.bins(np.fft.rfftfreq(2 * n, 1.0 / fps)[:n])] = 1.0
     shape = [1] * x.ndim
     shape[axis % x.ndim] = -1
     coefficients = sfft.dct(x, type=2, axis=axis, workers=-1)
@@ -184,13 +153,8 @@ def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
     phase = unwrap_phase(np.angle(level), axis=1)
     amplitude = np.abs(level)
     peak = amplitude.max()
-    if cfg.phase_gate_ratio > 0 and peak > 0:
-        _gate_phase(phase, amplitude >= cfg.phase_gate_ratio * peak, GATE_SMOOTH_S * fps)
-    if cfg.denoise_sigma_bins > 0:
-        weights = amplitude * amplitude
-        num = gaussian_filter1d(weights * phase, cfg.denoise_sigma_bins, axis=0, mode="constant")
-        den = gaussian_filter1d(weights, cfg.denoise_sigma_bins, axis=0, mode="constant")
-        phase = num / (den + 1e-8 * max(den.max(), 1e-300))
+    if peak > 0:
+        _gate_phase(phase, amplitude >= PHASE_GATE_RATIO * peak, GATE_SMOOTH_S * fps)
     filtered = dct_bandpass(phase, fps, cfg.band, axis=1)
     del phase
     filtered[amplitude < AMPLITUDE_MASK_RATIO * peak] = 0.0

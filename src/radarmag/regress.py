@@ -389,10 +389,8 @@ def temporal_fft_baseline(window: Radargram, roi: RangeROI, search_band: BandSpe
     segment = segment - segment.mean(axis=1, keepdims=True)
     spectra = np.abs(np.fft.rfft(segment, axis=1)).mean(axis=0)
     freqs = np.fft.rfftfreq(window.n_frames, 1.0 / window.fps)
-    inside = np.where((freqs >= search_band.f_lo) & (freqs <= search_band.f_hi))[0]
-    if len(inside) == 0:
-        raise ValueError(f"band [{search_band.f_lo}, {search_band.f_hi}] Hz contains no DFT bins")
-    peak = inside[np.argmax(spectra[inside])]
+    inside = search_band.bins(freqs)
+    peak = inside.start + np.argmax(spectra[inside])
     if spectra[peak] == 0:
         raise ValueError("no spectral peak above zero in the search band (static scene?)")
     return 60.0 * freqs[peak]

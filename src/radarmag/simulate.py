@@ -64,6 +64,9 @@ class SceneSpec:
     pulse_carrier_bins: float = 6.0
 
     def __post_init__(self):
+        if not float(self.n_bins).is_integer():
+            raise ValueError(f"n_bins must be a whole number, got {self.n_bins}")
+        object.__setattr__(self, "n_bins", int(self.n_bins))
         if not 2 <= self.duration_s * self.fps < np.inf:
             raise ValueError(f"scene must span at least 2 and finitely many frames, "
                              f"got duration_s * fps = {self.duration_s * self.fps:g}")
@@ -177,8 +180,6 @@ def load_scene_config(path: str) -> SceneSpec:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
         block = targets[-1] if targets else header
         block[key] = value if key == "kind" else config_number(path, lineno, key, value)
-    if "n_bins" in header:
-        header["n_bins"] = int(header["n_bins"])
     parsed = tuple(_spec(TargetSpec, tg, f"{path}: target {i}") for i, tg in enumerate(targets))
     return _spec(SceneSpec, dict(header, targets=parsed), path)
 

@@ -66,7 +66,7 @@ class TestFftPeak:
 
     def test_empty_band_rejected(self):
         s = sinusoid_signal(0.25, fps=20.0, duration_s=30.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="contains no DFT bins"):
             fft_peak_bpm(s, BandSpec(0.0001, 0.001))
 
 

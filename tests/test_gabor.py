@@ -56,14 +56,10 @@ class TestKernel:
 
 class TestBankConstruction:
     def test_default_bank_matches_published_configuration(self):
-        bank = default_bank(512)
+        bank = default_bank()
         assert bank.wavelengths == (75.0, 15.0, 10.0, 9.0, 7.0, 5.0, 4.0)
         assert np.allclose(bank.sigmas, [5.0, 1.0, 0.6667, 0.6, 0.4667, 0.3333, 0.2667],
                            atol=5e-5)
-
-    def test_default_bank_warns_on_short_signal(self):
-        with pytest.warns(UserWarning):
-            default_bank(100)
 
     def test_all_kernels_conjugate_symmetric(self):
         for ker in default_bank().kernels:
@@ -161,10 +157,11 @@ class TestDecompose:
     def test_circular_shift_covariance(self):
         bank = default_bank()
         rng = np.random.default_rng(3)
-        profile = rng.standard_normal(256)
         shift = 37
-        base = decompose(profile, bank, mode="circular")
-        shifted = decompose(np.roll(profile, shift), bank, mode="circular")
+        # zeros at each end, so np.roll wraps no sample into a kernel's reach
+        profile = np.pad(rng.standard_normal(256), bank.max_radius + shift)
+        base = decompose(profile, bank)
+        shifted = decompose(np.roll(profile, shift), bank)
         for lb, lsft in zip(base.levels, shifted.levels):
             assert np.max(np.abs(np.roll(lb, shift) - lsft)) < 1e-8
 
@@ -181,40 +178,39 @@ class TestDecompose:
 
 class TestDecomposeProperties:
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), st.floats(-10, 10), st.floats(-10, 10),
-           st.sampled_from(["linear", "circular"]))
-    def test_linearity(self, data, a, b, mode):
+    @given(st.data(), st.floats(-10, 10), st.floats(-10, 10))
+    def test_linearity(self, data, a, b):
         f = data.draw(profiles)
         g = data.draw(arrays(np.float64, len(f), elements=samples))
-        combined = decompose(a * f + b * g, BANK, mode=mode)
+        combined = decompose(a * f + b * g, BANK)
         scale = abs(a) * np.abs(f).max() + abs(b) * np.abs(g).max() + 1e-300
-        for lc, lf, lg in zip(combined.levels, decompose(f, BANK, mode=mode).levels,
-                              decompose(g, BANK, mode=mode).levels):
+        for lc, lf, lg in zip(combined.levels, decompose(f, BANK).levels, decompose(g, BANK).levels):
             assert np.max(np.abs(lc - (a * lf + b * lg))) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_circular_integer_shift_covariance(self, data):
-        f = data.draw(profiles)
-        shift = data.draw(st.integers(-len(f), len(f)))
-        base = decompose(f, BANK, mode="circular")
-        shifted = decompose(np.roll(f, shift), BANK, mode="circular")
+        # with max_radius + |shift| zeros at each end, a circular shift
+        # (np.roll) of the profile wraps only zeros, so its levels roll with it
+        core = data.draw(profiles)
+        shift = data.draw(st.integers(-len(core), len(core)))
+        f = np.pad(core, BANK.max_radius + abs(shift))
+        base = decompose(f, BANK)
+        shifted = decompose(np.roll(f, shift), BANK)
         scale = np.abs(f).max() + 1e-300
         for lb, ls in zip(base.levels, shifted.levels):
             assert np.max(np.abs(np.roll(lb, shift) - ls)) <= 1e-12 * scale
 
 
 class TestReconstruct:
-    @pytest.mark.parametrize("mode", ["linear", "circular"])
-    def test_identity_op_is_reconstruct(self, mode):
+    def test_identity_op_is_reconstruct(self):
         # reconstruct(decompose(x)) is the unchanged-level case of map_levels
         rng = np.random.default_rng(7)
         for x in (rng.standard_normal(256), rng.standard_normal((256, 5))):
             seen = []
-            out = map_levels(x, BANK, lambda k, level: seen.append(k), mode=mode)
+            out = map_levels(x, BANK, lambda k, level: seen.append(k))
             assert seen == list(range(len(BANK)))
-            assert np.array_equal(out, reconstruct(decompose(x, BANK, mode=mode), BANK))
-
+            assert np.array_equal(out, reconstruct(decompose(x, BANK), BANK))
 
     def test_identity_on_in_band_signals(self):
         bank = default_bank()
@@ -244,16 +240,18 @@ class TestReconstruct:
     def test_pre_real_sum_is_real(self):
         # conjugate-symmetric kernels + Hermitian resummation: the complex
         # reconstruction of a real input is real before taking the real part,
-        # which is what lets reconstruct use a real inverse transform
+        # which is what lets reconstruct use a real inverse transform; the
+        # levels are zero-padded to the transform length, as in synthesis
         bank = default_bank()
         rng = np.random.default_rng(6)
         f = in_band_signal(256, rng)
-        pyr = decompose(f, bank, mode="circular")
-        psis = bank.freq_responses(256)
-        acc = sum(np.fft.fft(lev) * psi for lev, psi in zip(pyr.levels, psis))
+        pyr = decompose(f, bank)
+        m = bank.transform_length(256)
+        psis = bank.freq_responses(m)
+        acc = sum(np.fft.fft(lev, m) * psi for lev, psi in zip(pyr.levels, psis))
         response = np.sum(np.abs(psis) ** 2, axis=0)
-        mirror = (-np.arange(256)) % 256
-        full = np.fft.ifft((acc + np.conj(acc[mirror])) / (response + response[mirror]))
+        mirror = (-np.arange(m)) % m
+        full = np.fft.ifft((acc + np.conj(acc[mirror])) / (response + response[mirror]))[:256]
         assert np.max(np.abs(full.imag)) < 1e-12 * max(1.0, np.max(np.abs(full.real)))
         assert np.max(np.abs(reconstruct(pyr, bank) - full.real)) < 1e-12
 
@@ -264,20 +262,3 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(pyr, other)
 
-
-class TestCircularMode:
-    def test_fft_matches_direct_in_circular_mode(self):
-        bank = default_bank()
-        rng = np.random.default_rng(30)
-        profile = rng.standard_normal(256)
-        fast = decompose(profile, bank, mode="circular")
-        slow = decompose_direct(profile, bank, mode="circular")
-        for a, b in zip(fast.levels, slow.levels):
-            assert np.max(np.abs(a - b)) < 1e-10
-
-    def test_circular_reconstruction_is_exact(self):
-        bank = default_bank()
-        rng = np.random.default_rng(31)
-        f = rng.standard_normal(256)
-        out = reconstruct(decompose(f, bank, mode="circular"), bank)
-        assert np.linalg.norm(out - f) / np.linalg.norm(f) < 1e-12

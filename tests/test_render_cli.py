@@ -120,7 +120,7 @@ class TestCli:
             "error: record of 10 s is shorter than one 50 s window"]
         write_features_csv([], feature_names(default_bank()), feats)
         assert main(["train", feats, "-o", str(tmp_path / "m.bin")]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: no labelled feature rows"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {feats}: no feature rows"]
 
     def test_csv_record_reads_like_binary(self, tmp_path):
         outputs = {}
@@ -171,13 +171,6 @@ class TestCli:
         assert main([]) == 1
         assert len(capsys.readouterr().err.splitlines()) == 1
 
-    def test_negative_denoise_sigma_is_user_error(self, tmp_path, capsys):
-        rgrm = str(tmp_path / "scene.rgrm")
-        code = main(["magnify", rgrm, str(tmp_path / "out.rgrm"), "--alpha", "1",
-                     "--band", "40:50", "--denoise-sigma", "-3"])
-        assert code == 1
-        assert "denoise_sigma_bins" in capsys.readouterr().err
-
     def test_help_lists_units(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["magnify", "--help"])
@@ -187,6 +180,7 @@ class TestCli:
 
 
 N_FEATURES = 4
+BAD_CELLS = ("inf", "-inf", "nan", "1e999", "", "x", "0x10")
 
 
 def feature_csv(path, n_columns, rng):
@@ -258,6 +252,30 @@ class TestEvalRejectsBadInput:
         feature_csv(root / "other.csv", n_columns, np.random.default_rng(n_columns))
         code, err = run_eval(root, blobs[kind], "other.csv")
         assert code == 1 and len(err) == 1 and f"expects {N_FEATURES} features" in err[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 1 + N_FEATURES), st.sampled_from(BAD_CELLS))
+    def test_bad_feature_cell(self, eval_inputs, row, column, value):
+        root, blobs = eval_inputs
+        lines = (root / "features.csv").read_text().splitlines()
+        names = lines[0].split(",")
+        cells = lines[1 + row].split(",")
+        cells[column] = value
+        lines[1 + row] = ",".join(cells)
+        (root / "bad.csv").write_text("\n".join(lines) + "\n")
+        code, err = run_eval(root, blobs["rf"], "bad.csv")
+        if (names[column], value) == ("label_bpm", ""):   # an unlabelled row is valid
+            assert (code, err) == (0, [])
+        else:
+            assert (code, err) == (1, [f"error: {root / 'bad.csv'}:{2 + row}: "
+                                       f"bad value {value!r} for {names[column]!r}"])
+
+    def test_header_only_feature_csv(self, eval_inputs):
+        root, blobs = eval_inputs
+        header = (root / "features.csv").read_text().splitlines()[0]
+        (root / "empty.csv").write_text(header + "\n")
+        assert run_eval(root, blobs["ols"], "empty.csv") == (
+            1, [f"error: {root / 'empty.csv'}: no feature rows"])
 
 
 @pytest.fixture(scope="module")
@@ -380,3 +398,23 @@ class TestConfigFilesRejectBadInput:
         code, err = run_cli(["magnify", str(config_dir / "scene.rgrm"), str(config_dir / "x.rgrm"),
                              "--alpha", "1", "--band", "0.5:2", "--bank", str(path)])
         check_config_error(path, line, text.split("=")[0].strip(), value, code, err)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(1.0, 512.0).filter(lambda v: not v.is_integer()))
+    def test_fractional_n_bins(self, config_dir, n_bins):
+        path = config_dir / "bad_scene.cfg"
+        write_scene(path, ("", "n_bins"), "n_bins", repr(n_bins))
+        code, err = run_cli(["simulate", str(path), "-o", str(config_dir / "x.rgrm")])
+        assert (code, err) == (1, [f"error: {path}: n_bins must be a whole number, got {n_bins!r}"])
+
+    # 1e17 float64 bins need 8e17 bytes, more than any 57-bit address space can
+    # map, so these fail at allocation on any host and never touch memory
+    @settings(max_examples=20, deadline=None)
+    @given(st.floats(1e17, 1e308))
+    @example(1e17).via("numpy MemoryError")
+    @example(1e308).via("numpy size limit")
+    def test_n_bins_too_large_to_allocate(self, config_dir, n_bins):
+        path = config_dir / "bad_scene.cfg"
+        write_scene(path, ("", "n_bins"), "n_bins", repr(n_bins))
+        code, err = run_cli(["simulate", str(path), "-o", str(config_dir / "x.rgrm")])
+        assert code == 1 and len(err) == 1 and err[0].startswith(f"error: {path}: "), (code, err)
