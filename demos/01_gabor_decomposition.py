@@ -33,7 +33,7 @@ rng = np.random.default_rng(0)
 x = np.arange(512)
 signal = sum(np.cos(2 * np.pi * x / p + q)
              for p, q in zip(rng.uniform(4, 75, 8), rng.uniform(0, 2 * np.pi, 8)))
-restored = rm.reconstruct(rm.decompose(signal, bank), bank)
+restored = rm.reconstruct(rm.decompose(signal, bank))
 err = np.linalg.norm(restored - signal) / np.linalg.norm(signal)
 print(f"\nreconstruction of an in-band 8-sinusoid signal: relative L2 error {err:.2e}")
 

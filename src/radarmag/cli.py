@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import gabor, regress
+from . import gabor
 from .features import (feature_names, featurize, read_features_csv,
                        read_labels_csv, write_features_csv)
 from .magnify import BandSpec, MagnifyConfig, magnify, magnify_windowed
@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10, help="cross-validation folds (default 10)")
     p.add_argument("--seed", type=int, default=0, help="shuffle and forest seed (integer)")
     p.add_argument("--report", help="write the cross-validation report (text) here")
-    p.add_argument("--report-csv", help="write per-fold MAEs (CSV) here")
     p.add_argument("--trees", type=int, default=100, help="rf: number of trees (default 100)")
     p.add_argument("--max-depth", type=int, default=12, help="rf: maximum tree depth (default 12)")
     p.add_argument("--min-leaf", type=int, default=2, help="rf: minimum samples per leaf (default 2)")
@@ -179,9 +178,6 @@ def cmd_train(args) -> int:
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.to_text())
-    if args.report_csv:
-        with open(args.report_csv, "w") as fh:
-            fh.write(report.to_csv())
     print(report.to_text(), end="")
     print(f"wrote {args.output}")
     return 0

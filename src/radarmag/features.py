@@ -124,8 +124,10 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     a (time_s, bpm) array; each window's label is the mean bpm over the
     window.  alpha != 0 magnifies each window before extraction (the band
     doubles as the magnification passband).  Windows that fail are skipped
-    with a warning; a record shorter than one window is a ValueError.
+    with a warning; an invalid alpha or a record shorter than one window is
+    a ValueError.
     """
+    cfg = MagnifyConfig(alpha=alpha, band=band)
     cut = windows(r, wspec)
     if not cut:
         raise ValueError(f"record of {r.duration_s:g} s is shorter than one "
@@ -135,7 +137,7 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
         start_s = start / r.fps
         try:
             if alpha != 0.0:
-                window = magnify(window, bank, MagnifyConfig(alpha=alpha, band=band))
+                window = magnify(window, bank, cfg)
             signals = level_signals(window, bank, band, roi)
             feats = np.array([fft_peak_bpm(s, band) for s in signals]
                              + [zcr_hz(s) for s in signals])

@@ -18,6 +18,7 @@ restores unit gain.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .radargram import FormatError, config_number, read_config
 
 DEFAULT_WAVELENGTHS = (75.0, 15.0, 10.0, 9.0, 7.0, 5.0, 4.0)
 DEFAULT_BANDWIDTH_DIVISOR = 15.0
-DEFAULT_SUPPORT_MULTIPLIER = 4.0
 
 RESPONSE_FLOOR_RATIO = 1e-6
 
@@ -39,24 +39,25 @@ MIN_SIGMA = 1e-3
 
 @dataclass(frozen=True)
 class GaborParams:
-    """One kernel: carrier wavelength, envelope sigma, truncation radius (all in bins)."""
+    """One kernel: carrier wavelength and envelope sigma (both in bins)."""
 
     wavelength: float
     sigma: float
-    support_radius: int
 
     def __post_init__(self):
         if not self.wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if not self.sigma >= MIN_SIGMA:
-            raise ValueError(f"sigma must be at least {MIN_SIGMA} bins, got {self.sigma}")
-        if self.support_radius < int(np.ceil(4 * self.sigma)):
-            raise ValueError(
-                f"support_radius {self.support_radius} below ceil(4*sigma)={int(np.ceil(4 * self.sigma))}")
+        if not (self.sigma >= MIN_SIGMA and math.isfinite(4 * self.sigma)):
+            raise ValueError(f"sigma must be at least {MIN_SIGMA} bins with 4*sigma finite, got {self.sigma}")
 
     @property
     def omega(self) -> float:
         return 2.0 * np.pi / self.wavelength
+
+    @property
+    def support_radius(self) -> int:
+        """Truncation radius in bins: the kernel is sampled out to 4 sigma."""
+        return math.ceil(4 * self.sigma)
 
 
 def make_gabor(p: GaborParams) -> np.ndarray:
@@ -126,42 +127,37 @@ class GaborBank:
 class Pyramid:
     """Per-level complex coefficients aligned to the decomposed signal.
 
-    levels holds one complex array per bank level: vectors for a single
-    profile, [n_bins x n_frames] matrices for a radargram.
+    levels holds one complex array per bank level, all of one shape: vectors
+    for a single profile, [n_bins x n_frames] matrices for a radargram.
     """
 
-    source_len: int
     levels: tuple[np.ndarray, ...]
     bank: GaborBank
 
     def __post_init__(self):
         if len(self.levels) != len(self.bank):
             raise ValueError(f"{len(self.levels)} levels for a {len(self.bank)}-level bank")
-        for lev in self.levels:
-            if lev.shape[0] != self.source_len:
-                raise ValueError(f"level shape {lev.shape} does not match source length {self.source_len}")
+        if len({lev.shape for lev in self.levels}) != 1:
+            raise ValueError(f"level shapes {[lev.shape for lev in self.levels]} differ")
+
+    @property
+    def source_len(self) -> int:
+        return self.levels[0].shape[0]
 
 
 def make_bank(wavelengths=DEFAULT_WAVELENGTHS, bandwidth_divisor=DEFAULT_BANDWIDTH_DIVISOR,
-              support_multiplier=DEFAULT_SUPPORT_MULTIPLIER, sigmas=None) -> GaborBank:
+              sigmas=None) -> GaborBank:
     """Build a bank from wavelengths with sigma = wavelength / bandwidth_divisor.
 
     Pass sigmas to override the divisor rule per level.
     """
-    wl = sorted(float(w) for w in wavelengths)[::-1]
+    wavelengths = [float(w) for w in wavelengths]
     if sigmas is None:
-        sig = [w / bandwidth_divisor for w in wl]
-    else:
-        if len(sigmas) != len(wavelengths):
-            raise ValueError("sigmas must match wavelengths")
-        pairs = sorted(zip(wavelengths, sigmas), key=lambda p: -p[0])
-        wl = [float(w) for w, _ in pairs]
-        sig = [float(s) for _, s in pairs]
-    radii = [support_multiplier * s for s in sig]
-    if not np.isfinite(radii).all():
-        raise ValueError(f"support radii {radii} are not finite")
-    params = [GaborParams(w, s, int(np.ceil(r))) for w, s, r in zip(wl, sig, radii)]
-    return GaborBank(params)
+        sigmas = [w / bandwidth_divisor for w in wavelengths]
+    elif len(sigmas) != len(wavelengths):
+        raise ValueError("sigmas must match wavelengths")
+    pairs = sorted(zip(wavelengths, sigmas), key=lambda p: -p[0])
+    return GaborBank([GaborParams(w, float(s)) for w, s in pairs])
 
 
 def default_bank() -> GaborBank:
@@ -169,26 +165,23 @@ def default_bank() -> GaborBank:
     return make_bank(DEFAULT_WAVELENGTHS)
 
 
-def dyadic_bank(n_levels: int, base_wavelength: float = 4.0,
-                bandwidth_divisor: float = DEFAULT_BANDWIDTH_DIVISOR) -> GaborBank:
-    """Octave-spaced bank: wavelengths (and sigmas) double per level."""
+def dyadic_bank(n_levels: int) -> GaborBank:
+    """Octave-spaced bank from 4 bins up: wavelengths (and sigmas) double per level."""
     if n_levels < 1:
         raise ValueError("need at least one level")
-    wavelengths = [base_wavelength * 2.0**k for k in range(n_levels)]
-    return make_bank(wavelengths, bandwidth_divisor=bandwidth_divisor)
+    return make_bank([4.0 * 2.0**k for k in range(n_levels)])
 
 
 def load_bank_config(path: str) -> GaborBank:
     """Build a bank from a key=value config file.
 
-    Keys: ``wavelengths`` (comma list), ``bandwidth_divisor``,
-    ``support_multiplier``; or explicit ``level = wavelength:sigma`` lines
-    which take precedence over the divisor rule.
+    Keys: ``wavelengths`` (comma list) and ``bandwidth_divisor``; or
+    explicit ``level = wavelength:sigma`` lines which take precedence over
+    the divisor rule.
     """
     wavelengths = None
     levels = []
-    settings = {"bandwidth_divisor": DEFAULT_BANDWIDTH_DIVISOR,
-                "support_multiplier": DEFAULT_SUPPORT_MULTIPLIER}
+    divisor = DEFAULT_BANDWIDTH_DIVISOR
     for lineno, key, value in read_config(path):
         if key == "wavelengths":
             wavelengths = [config_number(path, lineno, key, v) for v in value.split(",")]
@@ -196,8 +189,8 @@ def load_bank_config(path: str) -> GaborBank:
             wl, _, sig = value.partition(":")
             levels.append((config_number(path, lineno, key, wl),
                            config_number(path, lineno, key, sig)))
-        elif key in settings:
-            settings[key] = config_number(path, lineno, key, value)
+        elif key == "bandwidth_divisor":
+            divisor = config_number(path, lineno, key, value)
         else:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
     sigmas = None
@@ -206,7 +199,7 @@ def load_bank_config(path: str) -> GaborBank:
     elif wavelengths is None:
         raise FormatError(f"{path}: config must define 'wavelengths' or 'level' entries")
     try:
-        return make_bank(wavelengths, sigmas=sigmas, **settings)
+        return make_bank(wavelengths, bandwidth_divisor=divisor, sigmas=sigmas)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
@@ -296,7 +289,7 @@ def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
         buf = np.empty((m,) + x.shape[1:], dtype=np.complex128)
         _analyze_level(half, psi, buf)
         levels.append(buf[:n])
-    return Pyramid(source_len=n, levels=tuple(levels), bank=bank)
+    return Pyramid(levels=tuple(levels), bank=bank)
 
 
 def map_levels(signal: np.ndarray, bank: GaborBank, op) -> np.ndarray:
@@ -307,7 +300,7 @@ def map_levels(signal: np.ndarray, bank: GaborBank, op) -> np.ndarray:
     added into the synthesis spectrum before the next one is formed.  Only
     one level, the input half spectrum and the synthesis half spectrum are
     held at once.  An op that leaves its level unchanged returns exactly
-    reconstruct(decompose(signal, bank), bank).
+    reconstruct(decompose(signal, bank)).
     """
     x, m, half = _analysis_input(signal, bank)
     n = x.shape[0]
@@ -333,15 +326,14 @@ def decompose_direct(signal: np.ndarray, bank: GaborBank) -> Pyramid:
         real = ndimage.convolve1d(x, ker.real, axis=0, mode="constant", cval=0.0)
         imag = ndimage.convolve1d(x, ker.imag, axis=0, mode="constant", cval=0.0)
         levels.append(real + 1j * imag)
-    return Pyramid(source_len=x.shape[0], levels=tuple(levels), bank=bank)
+    return Pyramid(levels=tuple(levels), bank=bank)
 
 
-def reconstruct(pyr: Pyramid, bank: GaborBank) -> np.ndarray:
-    """Collapse a pyramid back to a real profile or radargram matrix."""
-    if pyr.bank is not bank and pyr.bank.wavelengths != bank.wavelengths:
-        raise ValueError("pyramid was built by a different bank")
+def reconstruct(pyr: Pyramid) -> np.ndarray:
+    """Collapse a pyramid back to a real profile or radargram matrix through
+    the bank that built it."""
     n = pyr.source_len
-    psis = bank.freq_responses(bank.transform_length(n))
+    psis = pyr.bank.freq_responses(pyr.bank.transform_length(n))
     frames = pyr.levels[0].shape[1:]
     synthesis = _Synthesis(psis, n, frames)
     buf = np.empty((psis.shape[1],) + frames, dtype=np.complex128)

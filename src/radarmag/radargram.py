@@ -66,14 +66,6 @@ class Radargram:
     def duration_s(self) -> float:
         return self.n_frames / self.fps
 
-    def bin_ranges(self) -> np.ndarray:
-        """Range (meters) of each bin center."""
-        return self.t0_offset + np.arange(self.n_bins) * self.bin_spacing
-
-    def range_to_bin(self, range_m: float) -> float:
-        """Fractional bin coordinate of a range in meters."""
-        return (range_m - self.t0_offset) / self.bin_spacing
-
     def with_data(self, data: np.ndarray) -> "Radargram":
         """New radargram with the same metadata and different samples."""
         return Radargram(data, fps=self.fps, bin_spacing=self.bin_spacing, t0_offset=self.t0_offset)

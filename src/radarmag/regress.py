@@ -21,12 +21,11 @@ MODEL_VERSION = 1
 
 @dataclass
 class Dataset:
-    """Feature matrix with labels and optional group tags (e.g. posture)."""
+    """Feature matrix with labels."""
 
     X: np.ndarray
     y: np.ndarray
     feature_names: list[str] = field(default_factory=list)
-    groups: np.ndarray | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -37,15 +36,14 @@ class Dataset:
             raise ValueError("dataset contains non-finite values")
 
     @classmethod
-    def from_rows(cls, rows: list[FeatureRow], feature_names=None, groups=None) -> "Dataset":
+    def from_rows(cls, rows: list[FeatureRow], feature_names=None) -> "Dataset":
         if not rows:
             raise ValueError("no labelled feature rows")
         if any(r.label_bpm is None for r in rows):
             raise ValueError("all rows need labels to build a dataset")
         X = np.stack([r.features for r in rows])
         y = np.array([r.label_bpm for r in rows])
-        return cls(X, y, feature_names=list(feature_names or []),
-                   groups=None if groups is None else np.asarray(groups))
+        return cls(X, y, feature_names=list(feature_names or []))
 
     def __len__(self) -> int:
         return len(self.y)
@@ -147,7 +145,6 @@ class ModelReport:
     kind: str
     fold_maes: tuple[float, ...]
     seed: int
-    per_group: dict[str, float] | None = None
 
     @property
     def mean_mae(self) -> float:
@@ -157,15 +154,7 @@ class ModelReport:
         lines = [f"model: {self.kind}", f"seed: {self.seed}",
                  f"mean MAE: {self.mean_mae:.6g} bpm", "per-fold MAE (bpm):"]
         lines += [f"  fold {i}: {m:.6g}" for i, m in enumerate(self.fold_maes)]
-        if self.per_group:
-            lines.append("per-group MAE (bpm):")
-            lines += [f"  {g}: {m:.6g}" for g, m in sorted(self.per_group.items())]
         return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
-        rows = ["fold,mae_bpm"] + [f"{i},{m:.12g}" for i, m in enumerate(self.fold_maes)]
-        rows.append(f"mean,{self.mean_mae:.12g}")
-        return "\n".join(rows) + "\n"
 
 
 def fit_ols(train: Dataset, ridge: float = 0.0) -> LinearModel:
@@ -177,8 +166,8 @@ def fit_ols(train: Dataset, ridge: float = 0.0) -> LinearModel:
     """
     if len(train) < 2:
         raise ValueError("need at least 2 rows")
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
+    if not 0 <= ridge < np.inf:
+        raise ValueError(f"ridge must be finite and non-negative, got {ridge}")
     X, y = train.X, train.y
     x_mean = X.mean(axis=0)
     y_mean = y.mean()
@@ -256,7 +245,7 @@ def _grow_forest(X, y, boots, rngs, max_depth, min_leaf, n_sub):
             n_left = at + 1 - np.repeat(pair_off, pair_len)
             n_right = n_node - n_left
             gain = s_left**2 * n_node / (n_left * np.maximum(n_right, 1))
-            invalid = (n_left < min_leaf) | (n_right < max(min_leaf, 1))
+            invalid = (n_left < min_leaf) | (n_right < min_leaf)
             invalid[:-1] |= xs[1:] == xs[:-1]
             gain[invalid] = -1.0
             # first maximum per node: drawn feature order, then ascending x
@@ -315,10 +304,11 @@ def fit_rf(train: Dataset, n_trees: int = 100, max_depth: int = 12,
     subsets of its nodes in node order, all from stream t of
     SeedSequence(seed).spawn(n_trees), so it depends only on (seed, t).
     """
-    if n_trees < 1:
-        raise ValueError("n_trees must be at least 1")
-    if len(train) < max(min_leaf, 1):
-        raise ValueError(f"need at least min_leaf={min_leaf} rows and at least 1 row")
+    if n_trees < 1 or max_depth < 0 or min_leaf < 1:
+        raise ValueError(f"need n_trees >= 1, max_depth >= 0 and min_leaf >= 1, "
+                         f"got {n_trees}, {max_depth} and {min_leaf}")
+    if len(train) < min_leaf:
+        raise ValueError(f"need at least min_leaf={min_leaf} rows")
     X, y = train.X, train.y
     n_sub = int(np.ceil(np.sqrt(X.shape[1])))
     rngs = [np.random.default_rng(ss) for ss in np.random.SeedSequence(seed).spawn(n_trees)]
@@ -327,41 +317,22 @@ def fit_rf(train: Dataset, n_trees: int = 100, max_depth: int = 12,
     return ForestModel(trees, n_features=X.shape[1], seed=seed)
 
 
-def _group_folds(groups: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
-    """Folds that keep every group's rows together (subject-wise splitting)."""
-    unique = np.unique(groups)
-    if k > len(unique):
-        raise ValueError(f"k={k} exceeds {len(unique)} distinct groups")
-    order = np.random.default_rng(seed).permutation(len(unique))
-    buckets = [[] for _ in range(k)]
-    for i, g in enumerate(unique[order]):
-        buckets[i % k].append(np.where(groups == g)[0])
-    return [np.concatenate(b) for b in buckets]
-
-
 def kfold_mae(data: Dataset, k: int = 10, model: str = "rf", seed: int = 0,
-              group_split: bool = False, **params) -> ModelReport:
+              **params) -> ModelReport:
     """Shuffled k-fold cross-validation, reporting MAE in bpm per fold.
 
     model is 'rf' (params: n_trees, max_depth, min_leaf) or 'ols'
     (params: ridge).  The shuffle is seeded once; folds partition the rows
-    exactly.  group_split keeps each group's rows in a single fold (the
-    dataset must carry group tags).
+    exactly.
     """
     n = len(data)
     if k > n:
         raise ValueError(f"k={k} exceeds {n} rows")
     if k < 2:
         raise ValueError("k must be at least 2")
-    if group_split:
-        if data.groups is None:
-            raise ValueError("group_split requires group tags on the dataset")
-        folds = _group_folds(np.asarray(data.groups), k, seed)
-    else:
-        order = np.random.default_rng(seed).permutation(n)
-        folds = np.array_split(order, k)
+    order = np.random.default_rng(seed).permutation(n)
+    folds = np.array_split(order, k)
     fold_maes = []
-    group_abs: dict[str, list] = {}
     for i, test_idx in enumerate(folds):
         train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
         subset = Dataset(data.X[train_idx], data.y[train_idx])
@@ -371,13 +342,8 @@ def kfold_mae(data: Dataset, k: int = 10, model: str = "rf", seed: int = 0,
             fitted = fit_ols(subset, **params)
         else:
             raise ValueError(f"unknown model {model!r}, expected 'rf' or 'ols'")
-        errors = np.abs(fitted.predict(data.X[test_idx]) - data.y[test_idx])
-        fold_maes.append(float(errors.mean()))
-        if data.groups is not None:
-            for g, e in zip(data.groups[test_idx], errors):
-                group_abs.setdefault(str(g), []).append(e)
-    per_group = {g: float(np.mean(v)) for g, v in group_abs.items()} or None
-    return ModelReport(kind=model, fold_maes=tuple(fold_maes), seed=seed, per_group=per_group)
+        fold_maes.append(float(np.abs(fitted.predict(data.X[test_idx]) - data.y[test_idx]).mean()))
+    return ModelReport(kind=model, fold_maes=tuple(fold_maes), seed=seed)
 
 
 def temporal_fft_baseline(window: Radargram, roi: RangeROI, search_band: BandSpec) -> float:

@@ -73,7 +73,7 @@ def test_criterion_02_reconstruction_identity():
         amps = rng.uniform(0.5, 1.5, 8)
         x = np.arange(512)
         f = sum(a * np.cos(2 * np.pi * x / p + q) for a, p, q in zip(amps, periods, phases))
-        out = rm.reconstruct(rm.decompose(f, bank), bank)
+        out = rm.reconstruct(rm.decompose(f, bank))
         worst = max(worst, np.linalg.norm(out - f) / np.linalg.norm(f))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-3, f"worst relative L2 {worst:.3e} > 1e-3"
@@ -85,7 +85,7 @@ def test_criterion_03_alpha_zero_passthrough():
     r, _ = rm.simulate(validation_scene(duration_s=4.0), seed=3)
     for bank in (magnify_bank(), rm.default_bank()):
         out = rm.magnify(r, bank, rm.MagnifyConfig(alpha=0.0, band=SCENE_BAND))
-        reference = rm.reconstruct(rm.decompose(r.data, bank), bank)
+        reference = rm.reconstruct(rm.decompose(r.data, bank))
         assert np.array_equal(out.data, reference), "alpha=0 output differs from reconstruct(decompose(.))"
     report(3, "alpha=0 magnification equals reconstruct(decompose(.)) bit-for-bit")
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radarmag import (FormatError, GaborParams, decompose, decompose_direct,
-                      default_bank, dyadic_bank, load_bank_config, make_bank,
-                      make_gabor, reconstruct)
+from radarmag import (DEFAULT_WAVELENGTHS, FormatError, GaborParams, decompose,
+                      decompose_direct, default_bank, dyadic_bank, load_bank_config,
+                      make_bank, make_gabor, reconstruct)
 from radarmag.gabor import map_levels
 
 BANK = default_bank()
@@ -27,31 +27,34 @@ def in_band_signal(n, rng, n_components=8, period_lo=4.0, period_hi=75.0):
 class TestKernel:
     def test_center_sample(self):
         for lam, sigma in [(15.0, 1.0), (75.0, 5.0), (4.0, 0.5)]:
-            p = GaborParams(lam, sigma, int(np.ceil(4 * sigma)))
+            p = GaborParams(lam, sigma)
             ker = make_gabor(p)
             center = ker[p.support_radius]
             assert center.imag == 0.0
             assert center.real == pytest.approx(1.0 / (np.sqrt(2 * np.pi) * sigma**2), rel=1e-12)
 
     def test_conjugate_symmetry(self):
-        p = GaborParams(9.0, 2.0, 8)
+        p = GaborParams(9.0, 2.0)
         ker = make_gabor(p)
         assert np.allclose(ker[::-1], np.conj(ker), atol=1e-15)
 
     def test_dft_peak_at_carrier(self):
         # kernel lambda=15 sigma=1, zero-padded to 512: |DFT| peaks at the bin
         # nearest 1/15 cycles/bin
-        ker = make_gabor(GaborParams(15.0, 1.0, 4))
+        ker = make_gabor(GaborParams(15.0, 1.0))
         padded = np.zeros(512, complex)
         padded[: len(ker)] = ker
         mag = np.abs(np.fft.fft(padded))
         assert np.argmax(mag) == round(512 / 15)
 
     def test_support_radius_validation(self):
+        assert GaborParams(15.0, 2.0).support_radius == 8  # ceil(4*2)
+        assert GaborParams(15.0, 2.01).support_radius == 9
+        assert len(make_gabor(GaborParams(15.0, 2.0))) == 17
         with pytest.raises(ValueError):
-            GaborParams(15.0, 2.0, 7)  # ceil(4*2) = 8
-        with pytest.raises(ValueError):
-            GaborParams(-1.0, 1.0, 4)
+            GaborParams(-1.0, 1.0)
+        with pytest.raises(ValueError, match="4\\*sigma finite"):
+            GaborParams(15.0, 1e308)  # 4*sigma overflows
 
 
 class TestBankConstruction:
@@ -204,33 +207,36 @@ class TestDecomposeProperties:
 
 class TestReconstruct:
     def test_identity_op_is_reconstruct(self):
-        # reconstruct(decompose(x)) is the unchanged-level case of map_levels
+        # reconstruct(decompose(x)) is the unchanged-level case of map_levels:
+        # it synthesizes through the bank that built the pyramid, also for a
+        # bank sharing the default wavelengths but not their sigmas
         rng = np.random.default_rng(7)
-        for x in (rng.standard_normal(256), rng.standard_normal((256, 5))):
-            seen = []
-            out = map_levels(x, BANK, lambda k, level: seen.append(k))
-            assert seen == list(range(len(BANK)))
-            assert np.array_equal(out, reconstruct(decompose(x, BANK), BANK))
+        for bank in (BANK, make_bank(DEFAULT_WAVELENGTHS, bandwidth_divisor=10)):
+            for x in (rng.standard_normal(256), rng.standard_normal((256, 5))):
+                seen = []
+                out = map_levels(x, bank, lambda k, level: seen.append(k))
+                assert seen == list(range(len(bank)))
+                assert np.array_equal(out, reconstruct(decompose(x, bank)))
 
     def test_identity_on_in_band_signals(self):
         bank = default_bank()
         rng = np.random.default_rng(5)
         for _ in range(10):
             f = in_band_signal(512, rng)
-            out = reconstruct(decompose(f, bank), bank)
+            out = reconstruct(decompose(f, bank))
             assert np.linalg.norm(out - f) / np.linalg.norm(f) <= 1e-3
 
     def test_zero_pyramid(self):
         bank = default_bank()
         pyr = decompose(np.zeros(256), bank)
-        assert np.max(np.abs(reconstruct(pyr, bank))) == 0.0
+        assert np.max(np.abs(reconstruct(pyr))) == 0.0
 
     def test_single_sinusoid_amplitude_preserved(self):
         bank = default_bank()
         n = 512
         x = np.arange(n)
         f = np.cos(2 * np.pi * x / 10.0)
-        out = reconstruct(decompose(f, bank), bank)
+        out = reconstruct(decompose(f, bank))
         interior = slice(n // 4, 3 * n // 4)
         measured = np.abs(np.fft.fft(out[interior] * np.hanning(n // 2)))
         expected = np.abs(np.fft.fft(f[interior] * np.hanning(n // 2)))
@@ -253,12 +259,5 @@ class TestReconstruct:
         mirror = (-np.arange(m)) % m
         full = np.fft.ifft((acc + np.conj(acc[mirror])) / (response + response[mirror]))[:256]
         assert np.max(np.abs(full.imag)) < 1e-12 * max(1.0, np.max(np.abs(full.real)))
-        assert np.max(np.abs(reconstruct(pyr, bank) - full.real)) < 1e-12
-
-    def test_dimension_mismatch_rejected(self):
-        bank = default_bank()
-        other = make_bank([20.0, 10.0])
-        pyr = decompose(np.zeros(256), bank)
-        with pytest.raises(ValueError):
-            reconstruct(pyr, other)
+        assert np.max(np.abs(reconstruct(pyr) - full.real)) < 1e-12
 

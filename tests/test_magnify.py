@@ -110,7 +110,7 @@ class TestMagnify:
     def test_alpha_zero_is_bitwise_reconstruction(self, scene_data):
         bank = magnify_bank()
         out = magnify(scene_data, bank, MagnifyConfig(alpha=0.0, band=SCENE_BAND))
-        reference = reconstruct(decompose(scene_data.data, bank), bank)
+        reference = reconstruct(decompose(scene_data.data, bank))
         assert np.array_equal(out.data, reference)
 
     def test_metadata_preserved(self, scene_data):

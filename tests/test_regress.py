@@ -273,12 +273,6 @@ class TestKfold:
         with pytest.raises(ValueError):
             kfold_mae(linear_dataset(n=5), k=10, model="ols")
 
-    def test_group_report(self):
-        data = linear_dataset(n=60, noise=0.3, seed=12)
-        data.groups = np.array(["a", "b"] * 30)
-        report = kfold_mae(data, k=5, model="ols", seed=1)
-        assert set(report.per_group) == {"a", "b"}
-
 
 class TestBaseline:
     def test_breather_rate(self):
@@ -389,25 +383,3 @@ class TestPersistence:
         for model in (fit_rf(data, n_trees=3, seed=0), fit_ols(data)):
             with pytest.raises(ValueError, match="expects 2 features"):
                 model.predict(query)
-
-
-class TestGroupSplit:
-    def test_groups_stay_together(self):
-        from radarmag.regress import _group_folds
-        groups = np.repeat(np.arange(12), 5)
-        folds = _group_folds(groups, k=4, seed=0)
-        joined = np.sort(np.concatenate(folds))
-        assert np.array_equal(joined, np.arange(60))
-        for fold in folds:
-            for g in np.unique(groups[fold]):
-                assert np.isin(np.where(groups == g)[0], fold).all()
-
-    def test_kfold_with_group_split(self):
-        data = linear_dataset(n=60, noise=0.3, seed=15)
-        data.groups = np.repeat(np.arange(10), 6)
-        report = kfold_mae(data, k=5, model="ols", seed=2, group_split=True, ridge=1e-8)
-        assert len(report.fold_maes) == 5
-
-    def test_group_split_requires_tags(self):
-        with pytest.raises(ValueError, match="group"):
-            kfold_mae(linear_dataset(n=30), k=3, model="ols", group_split=True)

@@ -118,9 +118,26 @@ class TestCli:
                      "--window", "50:5", "--roi", "100:156"]) == 1   # longer than the record
         assert capsys.readouterr().err.splitlines() == [
             "error: record of 10 s is shorter than one 50 s window"]
+        for alpha in ("nan", "-5"):   # rejected once, before any window is cut
+            assert main(["features", scene_rgrm, "-o", feats, "--band", "40:50",
+                         "--window", "2:0.5", "--roi", "100:156", "--alpha", alpha]) == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: alpha must be finite and >= -1, got {float(alpha)}"]
         write_features_csv([], feature_names(default_bank()), feats)
         assert main(["train", feats, "-o", str(tmp_path / "m.bin")]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {feats}: no feature rows"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-depth", "-1"], ["--min-leaf", "0"], ["--min-leaf", "-3"],
+        ["--model", "ols", "--ridge", "nan"], ["--model", "ols", "--ridge", "inf"],
+    ], ids=["max-depth=-1", "min-leaf=0", "min-leaf=-3", "ols-ridge=nan", "ols-ridge=inf"])
+    def test_bad_train_hyperparameter_is_user_error(self, tmp_path, flags):
+        feature_csv(tmp_path / "f.csv", N_FEATURES, np.random.default_rng(0))
+        model = tmp_path / "m.bin"
+        code, err = run_cli(["train", str(tmp_path / "f.csv"), "-o", str(model), "--folds", "3"] + flags)
+        name = flags[-2].lstrip("-").replace("-", "_")   # the message names the parameter
+        assert code == 1 and len(err) == 1 and err[0].startswith("error: ") and name in err[0], (code, err)
+        assert not model.exists()
 
     def test_csv_record_reads_like_binary(self, tmp_path):
         outputs = {}
@@ -332,7 +349,7 @@ NUMERIC_SCENE_KEYS = [entry for entry in SCENE_KEYS if entry[1] != "kind"]
 # Bank files with one numeric field of each key left open
 BANKS = ["wavelengths = {}, 8\n",
          "wavelengths = 16, 8\nbandwidth_divisor = {}\n",
-         "wavelengths = 16, 8\nsupport_multiplier = {}\n",
+         "wavelengths = 16, {}\n",
          "level = {}:4\nlevel = 8:2\n",
          "level = 16:{}\nlevel = 8:2\n"]
 
