@@ -1,5 +1,8 @@
 """Per-window vital-sign features: one bandpassed 1-D phase signal per Gabor
 wavelength, summarized by its FFT spectral peak (bpm) and zero-crossing rate.
+
+A record is decomposed once and cut into windows only after the phase
+unwrap, since range-axis analysis acts on each frame on its own.
 """
 
 from __future__ import annotations
@@ -39,30 +42,77 @@ class FeatureRow:
     label_bpm: float | None = None
 
 
-def level_signals(window: Radargram, bank: GaborBank, band: BandSpec,
-                  roi: RangeROI) -> list[LevelSignal]:
-    """One bandpassed phase series per bank level.
+def _analysis_rows(roi: RangeROI, radius: int, n_bins: int) -> slice:
+    """The ROI widened by radius bins on each side, clamped to the record and
+    grown to decompose's minimum of 2 * radius + 1 rows where the record has them.
+
+    A kernel reaches radius bins, so the ROI rows of a pyramid of these
+    rows equal those of the whole record's pyramid.
+    """
+    size = 2 * radius + 1
+    lo = max(roi.first_bin - radius, 0)
+    hi = min(max(roi.last_bin + 1 + radius, lo + size), n_bins)
+    return slice(max(min(lo, hi - size), 0), hi)
+
+
+def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
+                  wspec: WindowSpec | None = None
+                  ) -> list[LevelSignal] | list[tuple[int, list[LevelSignal] | ValueError]]:
+    """One bandpassed phase series per bank level, for one window or for
+    every window of a record.
 
     Per level, coefficient phases over the ROI are unwrapped along slow
     time, bandpassed, and averaged across ROI bins weighted by the
     window-mean squared amplitude of each bin.
+
+    Without wspec, r is one window, decomposed whole, and the result is its
+    list of signals; a level with zero amplitude in the ROI is a ValueError.
+    With wspec, r is a record and the result is a (start_frame, signals)
+    pair per wspec.starts, where signals is that ValueError for a window
+    with zero ROI amplitude at some level.  The record is decomposed once,
+    over only the rows the ROI's coefficients depend on, and each level is
+    unwrapped once.  A window's phase is the record's unwrap shifted by the
+    multiple of 2*pi that puts its first sample back on the wrapped phase,
+    which is the window's own unwrap, so only the bandpass and the
+    weighting run per window.
     """
-    roi.validate(window.n_bins)
-    band.validate(window.fps)
-    pyr = decompose(window.data, bank)
-    out = []
+    roi.validate(r.n_bins)
+    band.validate(r.fps)
+    if wspec is None:
+        length, starts = r.n_frames, range(1)
+    else:
+        length, starts = wspec.frames(r.fps)[0], wspec.starts(r.n_frames, r.fps)
+        rows = _analysis_rows(roi, bank.max_radius, r.n_bins)
+        r = r.with_data(r.data[rows])
+        roi = RangeROI(roi.first_bin - rows.start, roi.last_bin - rows.start)
+    pyr = decompose(r.data, bank)
+    per_window = [[] for _ in starts]
     for k, (params, level) in enumerate(zip(bank.levels, pyr.levels)):
         sub = level[roi.slice]
-        weights = (np.abs(sub) ** 2).mean(axis=1)
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError(f"level {k} (wavelength {params.wavelength}) has zero amplitude in ROI")
-        phase = unwrap_phase(np.angle(sub), axis=1)
-        filtered = dct_bandpass(phase, window.fps, band, axis=1)
-        series = weights @ filtered / total
-        out.append(LevelSignal(level_index=k, wavelength=params.wavelength,
-                               series=series, fps=window.fps))
-    return out
+        power = np.abs(sub) ** 2
+        angle = np.angle(sub)
+        phase = unwrap_phase(angle, axis=1)
+        for i, s in enumerate(starts):
+            if isinstance(per_window[i], ValueError):
+                continue
+            # a direct mean, not a difference of cumulative sums: that loses
+            # the relative precision of a quiet window after a loud stretch
+            weights = power[:, s : s + length].mean(axis=1)
+            total = weights.sum()
+            if total <= 0:
+                per_window[i] = ValueError(
+                    f"level {k} (wavelength {params.wavelength}) has zero amplitude in ROI")
+                continue
+            # the shift is exactly 0 at s = 0, so a lone window keeps its own unwrap bit for bit
+            window_phase = phase[:, s : s + length] - (phase[:, s] - angle[:, s])[:, None]
+            filtered = dct_bandpass(window_phase, r.fps, band, axis=1)
+            per_window[i].append(LevelSignal(level_index=k, wavelength=params.wavelength,
+                                             series=weights @ filtered / total, fps=r.fps))
+    if wspec is not None:
+        return list(zip(starts, per_window))
+    if isinstance(per_window[0], ValueError):
+        raise per_window[0]
+    return per_window[0]
 
 
 def fft_peak_bpm(signal: LevelSignal, search_band: BandSpec) -> float:
@@ -122,33 +172,66 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     Features per window: fft_peak_bpm per level (searched inside ``band``)
     followed by zcr_hz per level, 2 x levels in total.  labels, if given, is
     a (time_s, bpm) array; each window's label is the mean bpm over the
-    window.  alpha != 0 magnifies each window before extraction (the band
-    doubles as the magnification passband).  Windows that fail are skipped
-    with a warning; an invalid alpha or a record shorter than one window is
-    a ValueError.
+    window.
+
+    With alpha = 0 the record is analysed once by level_signals; only the
+    bandpass runs per window.  alpha != 0 magnifies each window on its own
+    before extraction (the band doubles as the magnification passband), so
+    that path decomposes every window.
+
+    An invalid alpha, a record shorter than one window, an ROI beyond the
+    record, and a band above Nyquist or with no DCT bin at the window
+    length are ValueErrors, raised before any window is analysed.  A window
+    with zero ROI amplitude at some level, or with a non-finite magnified
+    coefficient, is skipped with a warning.
     """
     cfg = MagnifyConfig(alpha=alpha, band=band)
-    cut = windows(r, wspec)
-    if not cut:
+    length, _ = wspec.frames(r.fps)
+    if r.n_frames < length:
         raise ValueError(f"record of {r.duration_s:g} s is shorter than one "
                          f"{wspec.length_s:g} s window")
-    rows = []
-    for start, window in cut:
+    # mistakes in the record's set-up fail once here, not once per window
+    roi.validate(r.n_bins)
+    band.validate(r.fps)
+    band.dct_bins(length, r.fps)
+    if alpha == 0.0:
+        cut = level_signals(r, bank, band, roi, wspec)
+    else:
+        cut = _magnified_signals(r, bank, wspec, cfg, roi)
+    out = []
+    for start, signals in cut:
         start_s = start / r.fps
-        try:
-            if alpha != 0.0:
-                window = magnify(window, bank, cfg)
-            signals = level_signals(window, bank, band, roi)
-            feats = np.array([fft_peak_bpm(s, band) for s in signals]
-                             + [zcr_hz(s) for s in signals])
-        except (ValueError, FloatingPointError) as exc:
-            log.warning("skipping window at %.2fs: %s", start_s, exc)
+        if isinstance(signals, Exception):
+            log.warning("skipping window at %.2fs: %s", start_s, signals)
             continue
+        feats = np.array([fft_peak_bpm(s, band) for s in signals]
+                         + [zcr_hz(s) for s in signals])
         label = None
         if labels is not None:
             label = window_label(labels, start_s, wspec.length_s)
-        rows.append(FeatureRow(window_start_s=start_s, features=feats, label_bpm=label))
-    return rows
+        out.append(FeatureRow(window_start_s=start_s, features=feats, label_bpm=label))
+    return out
+
+
+def _magnified_signals(r: Radargram, bank: GaborBank, wspec: WindowSpec,
+                       cfg: MagnifyConfig, roi: RangeROI):
+    """(start_frame, signals or the error that skips the window) per window,
+    each window magnified on its own and then analysed as one window.
+
+    A ValueError from magnify concerns the window length, band or bank, so
+    it is raised, not turned into one skip per window.
+    """
+    for start, window in windows(r, wspec):
+        try:
+            magnified = magnify(window, bank, cfg)
+        except FloatingPointError as exc:
+            yield start, exc
+            continue
+        try:
+            signals = level_signals(magnified, bank, cfg.band, roi)
+        except ValueError as exc:
+            signals = exc
+        yield start, signals
 
 
 def window_label(labels: np.ndarray, start_s: float, length_s: float) -> float:

@@ -149,9 +149,12 @@ def make_bank(wavelengths=DEFAULT_WAVELENGTHS, bandwidth_divisor=DEFAULT_BANDWID
               sigmas=None) -> GaborBank:
     """Build a bank from wavelengths with sigma = wavelength / bandwidth_divisor.
 
-    Pass sigmas to override the divisor rule per level.
+    Pass sigmas to override the divisor rule per level.  The divisor must be
+    positive and finite either way.
     """
     wavelengths = [float(w) for w in wavelengths]
+    if not (bandwidth_divisor > 0 and math.isfinite(bandwidth_divisor)):
+        raise ValueError(f"bandwidth_divisor must be positive and finite, got {bandwidth_divisor}")
     if sigmas is None:
         sigmas = [w / bandwidth_divisor for w in wavelengths]
     elif len(sigmas) != len(wavelengths):
@@ -284,12 +287,14 @@ def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
     """
     x, m, half = _analysis_input(signal, bank)
     n = x.shape[0]
-    levels = []
-    for psi in bank.freq_responses(m):
-        buf = np.empty((m,) + x.shape[1:], dtype=np.complex128)
-        _analyze_level(half, psi, buf)
-        levels.append(buf[:n])
-    return Pyramid(levels=tuple(levels), bank=bank)
+    psis = bank.freq_responses(m)
+    # Level k is formed in rows [k*n, k*n + m) of one buffer and keeps rows
+    # [k*n, (k+1)*n); its m - n extra rows belong to later levels, which
+    # are written after it.
+    flat = np.empty((len(psis) * n + m - n,) + x.shape[1:], dtype=np.complex128)
+    for k, psi in enumerate(psis):
+        _analyze_level(half, psi, flat[k * n : k * n + m])
+    return Pyramid(levels=tuple(flat[k * n : (k + 1) * n] for k in range(len(psis))), bank=bank)
 
 
 def map_levels(signal: np.ndarray, bank: GaborBank, op) -> np.ndarray:

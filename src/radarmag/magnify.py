@@ -58,6 +58,10 @@ class BandSpec:
             raise ValueError(f"band [{self.f_lo}, {self.f_hi}] Hz contains no DFT bins")
         return slice(lo, hi)
 
+    def dct_bins(self, n: int, fps: float) -> slice:
+        """bins() of the DCT-II of n samples, whose bin k lies at k * fps / (2n)."""
+        return self.bins(np.fft.rfftfreq(2 * n, 1.0 / fps)[:n])
+
 
 @dataclass(frozen=True)
 class MagnifyConfig:
@@ -121,7 +125,7 @@ def dct_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1)
     band.validate(fps)
     n = x.shape[axis]
     keep = np.zeros(n)
-    keep[band.bins(np.fft.rfftfreq(2 * n, 1.0 / fps)[:n])] = 1.0
+    keep[band.dct_bins(n, fps)] = 1.0
     shape = [1] * x.ndim
     shape[axis % x.ndim] = -1
     coefficients = sfft.dct(x, type=2, axis=axis, workers=-1)

@@ -92,6 +92,12 @@ class WindowSpec:
             raise ValueError(f"shift of {self.shift_s}s at {fps} fps is shorter than 1 frame")
         return length, shift
 
+    def starts(self, n_frames: int, fps: float) -> range:
+        """First frame of every whole window over n_frames: the multiples of
+        the shift; a trailing partial window is dropped."""
+        length, shift = self.frames(fps)
+        return range(0, n_frames - length + 1, shift)
+
 
 @dataclass(frozen=True)
 class RangeROI:
@@ -124,13 +130,9 @@ def windows(r: Radargram, w: WindowSpec) -> list[tuple[int, Radargram]]:
     a trailing partial window is dropped.  A record shorter than one window
     yields an empty list.
     """
-    length, shift = w.frames(r.fps)
-    out = []
-    start = 0
-    while start + length <= r.n_frames:
-        out.append((start, r.with_data(r.data[:, start : start + length])))
-        start += shift
-    return out
+    length, _ = w.frames(r.fps)
+    return [(start, r.with_data(r.data[:, start : start + length]))
+            for start in w.starts(r.n_frames, r.fps)]
 
 
 def save_radargram(r: Radargram, path: str, format: str = "binary") -> None:

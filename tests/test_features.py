@@ -1,11 +1,17 @@
+import logging
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from radarmag import (BandSpec, LevelSignal, Radargram, SceneSpec, TargetSpec,
-                      WindowSpec, default_bank, feature_names, featurize,
-                      fft_peak_bpm, level_signals, read_features_csv,
-                      read_labels_csv, save_radargram, simulate, write_features_csv,
-                      zcr_hz)
+from radarmag import (BandSpec, LevelSignal, MagnifyConfig, Radargram, RangeROI,
+                      SceneSpec, TargetSpec, WindowSpec, default_bank, feature_names,
+                      featurize, fft_peak_bpm, level_signals, magnify,
+                      read_features_csv, read_labels_csv, save_radargram, simulate,
+                      windows, write_features_csv, zcr_hz)
+from radarmag import features as features_module
 from radarmag.cli import main
 
 from scenes import BREATHER_ROI, breather_scene
@@ -171,3 +177,171 @@ class TestFeaturize:
                          "--window", "4:2", "--roi", "10:20", "--labels", str(bad)])
             assert code == 1
             assert capsys.readouterr().err.splitlines() == [f"error: {message}"], text
+
+
+@contextmanager
+def skip_log():
+    """The messages featurize logs while the block runs."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("radarmag.features")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def per_window_oracle(r, bank, wspec, band, roi, alpha=0.0):
+    """level_signals on each windows() slice: (start_s, signals or its error) per window."""
+    out = []
+    for start, window in windows(r, wspec):
+        try:
+            if alpha != 0.0:
+                window = magnify(window, bank, MagnifyConfig(alpha=alpha, band=band))
+            out.append((start / r.fps, level_signals(window, bank, band, roi)))
+        except ValueError as exc:
+            out.append((start / r.fps, exc))
+    return out
+
+
+def features_of(signals, band):
+    return np.array([fft_peak_bpm(s, band) for s in signals] + [zcr_hz(s) for s in signals])
+
+
+def check_featurize_matches_oracle(r, bank, wspec, band, roi, alpha=0.0, atol=1e-12):
+    """featurize keeps the oracle's windows, logs its skips, and matches its features."""
+    expected = per_window_oracle(r, bank, wspec, band, roi, alpha)
+    with skip_log() as messages:
+        rows = featurize(r, bank, wspec, band, roi, alpha=alpha)
+    assert messages == [f"skipping window at {start_s:.2f}s: {got}"
+                        for start_s, got in expected if isinstance(got, ValueError)]
+    kept = [(start_s, got) for start_s, got in expected if not isinstance(got, ValueError)]
+    assert [row.window_start_s for row in rows] == [start_s for start_s, _ in kept]
+    for row, (_, signals) in zip(rows, kept):
+        assert np.abs(row.features - features_of(signals, band)).max() <= atol
+    return rows
+
+
+@st.composite
+def record_cases(draw):
+    """A two-target record, a window that need not tile it, a band, an ROI and
+    an optional stretch of all-zero frames."""
+    fps = 20.0
+    n_bins = draw(st.integers(48, 96))
+    duration_s = draw(st.sampled_from([8.0, 12.5, 20.0]))
+    targets = tuple(
+        TargetSpec("sinusoid", draw(st.floats(0.1, 0.9)) * n_bins * 0.01, 1.0,
+                   amplitude_bins=draw(st.floats(0.05, 1.0)), freq_hz=draw(st.floats(0.15, 2.5)))
+        for _ in range(2))
+    scene = SceneSpec(duration_s=duration_s, fps=fps, n_bins=n_bins, bin_spacing=0.01,
+                      targets=targets, noise_sigma=0.02, pulse_sigma_bins=3.0,
+                      pulse_carrier_bins=6.0)
+    record, _ = simulate(scene, seed=draw(st.integers(0, 2**16)))
+    data = record.data.copy()
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, data.shape[1] - 1))
+        data[:, lo : draw(st.integers(lo + 1, data.shape[1]))] = 0.0
+    length_s = draw(st.sampled_from([2.0, 3.0, 5.0]))
+    wspec = WindowSpec(length_s, draw(st.floats(0.05, 1.0)) * length_s)
+    first = draw(st.integers(0, n_bins - 1))
+    roi = RangeROI(first, draw(st.integers(first, n_bins - 1)))
+    f_lo = draw(st.sampled_from([0.0, 0.1, 0.7]))
+    band = BandSpec(f_lo, draw(st.sampled_from([0.7, 3.0, 10.0]).filter(lambda f: f > f_lo)))
+    return Radargram(data, fps=fps, bin_spacing=0.01), wspec, band, roi
+
+
+class TestRecordLevelFeaturize:
+    """featurize analyses the record once; each window must still see exactly
+    what level_signals sees on that window cut out."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(record_cases())
+    @example((simulate(breather_scene(0.25, 0.5, duration_s=20.0), seed=0)[0],
+              WindowSpec(5.0, 1.5), BandSpec(0.0, 0.7), RangeROI(0, 95))).via("ROI of every bin")
+    def test_level_signals_match_per_window_oracle(self, case):
+        # Compared on the signals, not the features: an FFT peak or a
+        # zero-crossing count jumps at ties, and a window with one non-silent
+        # frame has a flat spectrum whose peak roundoff alone decides.  The
+        # record's crop and the window are decomposed at different transform
+        # lengths; a coefficient's angle carries that roundoff divided by its
+        # magnitude, so a noise-only bin near a zero crossing amplifies it
+        # (2000 random cases peaked at 1e-11 rad).
+        r, wspec, band, roi = case
+        bank = default_bank()
+        got = level_signals(r, bank, band, roi, wspec)
+        expected = per_window_oracle(r, bank, wspec, band, roi)
+        assert [start / r.fps for start, _ in got] == [start_s for start_s, _ in expected]
+        for (_, signals), (_, oracle) in zip(got, expected):
+            if isinstance(oracle, ValueError):
+                assert str(signals) == str(oracle)
+                continue
+            assert [s.level_index for s in signals] == list(range(len(bank)))
+            for s, o in zip(signals, oracle):
+                assert np.abs(s.series - o.series).max() <= 1e-10
+
+    @pytest.mark.parametrize("roi", [RangeROI(0, 40), BREATHER_ROI, RangeROI(50, 95)],
+                             ids=["bin-0", "breather", "last-bin"])
+    def test_features_match_per_window_oracle(self, record, roi):
+        bank = default_bank()
+        for band in (RR_BAND, HR_BAND, BandSpec(0.0, 0.7)):
+            # a 4 s shift leaves the last 2 s of the 60 s record uncovered
+            rows = check_featurize_matches_oracle(record, bank, WindowSpec(30.0, 4.0), band, roi)
+            assert len(rows) == 8
+
+    def test_silent_stretch_skips_the_same_windows(self):
+        r, _ = simulate(breather_scene(0.25, 0.5, duration_s=30.0), seed=2)
+        data = r.data.copy()
+        data[:, 200:420] = 0.0
+        r = r.with_data(data)
+        with skip_log() as messages:
+            rows = check_featurize_matches_oracle(r, default_bank(), WindowSpec(5.0, 2.0),
+                                                  RR_BAND, BREATHER_ROI)
+        assert messages == [
+            f"skipping window at {s:.2f}s: level 0 (wavelength 75.0) has zero amplitude in ROI"
+            for s in (10.0, 12.0, 14.0, 16.0)]
+        assert len(rows) == 13 - 4
+
+    def test_magnified_windows_take_the_per_window_path(self, record):
+        rows = check_featurize_matches_oracle(record, default_bank(), WindowSpec(30.0, 10.0),
+                                              RR_BAND, BREATHER_ROI, alpha=1.0, atol=0.0)
+        assert len(rows) == 4
+
+    def test_one_decomposition_and_one_unwrap_per_level(self, record, monkeypatch):
+        calls = {"decompose": [], "unwrap_phase": 0}
+        decompose, unwrap = features_module.decompose, features_module.unwrap_phase
+
+        def counted_decompose(signal, bank):
+            calls["decompose"].append(signal.shape)
+            return decompose(signal, bank)
+
+        def counted_unwrap(*args, **kwargs):
+            calls["unwrap_phase"] += 1
+            return unwrap(*args, **kwargs)
+
+        monkeypatch.setattr(features_module, "decompose", counted_decompose)
+        monkeypatch.setattr(features_module, "unwrap_phase", counted_unwrap)
+        bank = default_bank()
+        rows = featurize(record, bank, WindowSpec(30.0, 5.0), RR_BAND, BREATHER_ROI)
+        assert len(rows) == 7
+        # ROI rows 34..62 plus the 20-bin radius of the 75-bin kernel on each side
+        assert calls == {"decompose": [(69, record.n_frames)], "unwrap_phase": len(bank)}
+
+    @pytest.mark.parametrize("roi, band, message", [
+        (RangeROI(90, 100), RR_BAND, "ROI [90, 100] exceeds 96 bins"),
+        (BREATHER_ROI, BandSpec(0.7, 12.0), "band [0.7, 12.0] Hz exceeds Nyquist 10.0 Hz"),
+        (BREATHER_ROI, BandSpec(0.21, 0.23), "band [0.21, 0.23] Hz contains no DFT bins"),
+    ], ids=["roi", "nyquist", "no-dct-bin"])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_record_level_errors_raise_once(self, record, roi, band, message, alpha):
+        with skip_log() as messages, pytest.raises(ValueError) as exc:
+            featurize(record, default_bank(), WindowSpec(10.0, 5.0), band, roi, alpha=alpha)
+        assert str(exc.value) == message
+        assert messages == []
+
+    def test_magnify_error_raises_once(self, record):
+        with skip_log() as messages, pytest.raises(ValueError, match="need at least 4 frames, got 2"):
+            featurize(record, default_bank(), WindowSpec(0.1, 0.1), BandSpec(0.0, 0.7),
+                      BREATHER_ROI, alpha=1.0)
+        assert messages == []

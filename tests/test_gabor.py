@@ -92,6 +92,11 @@ class TestBankConstruction:
         assert bank.wavelengths == (30.0, 8.0)
         assert bank.sigmas == (12.0, 4.0)
 
+    @pytest.mark.parametrize("divisor", [0.0, -15.0, np.inf, np.nan])
+    def test_bandwidth_divisor_must_be_positive_and_finite(self, divisor):
+        with pytest.raises(ValueError, match="bandwidth_divisor must be positive and finite"):
+            make_bank([16.0, 8.0], bandwidth_divisor=divisor)
+
     def test_config_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bank.cfg"
         path.write_text("wavelengths = 75, 15\nbogus line\n")
@@ -130,6 +135,14 @@ class TestDecompose:
         phase = np.unwrap(np.angle(pyr.levels[0][interior]))
         slopes = np.diff(phase)
         assert np.allclose(slopes, 2 * np.pi / lam, atol=2e-3)
+
+    @pytest.mark.parametrize("shape", [(SUPPORT,), (96, 7), (3 * SUPPORT, 5)])
+    def test_levels_share_one_buffer_of_n_rows_each(self, shape):
+        pyr = decompose(np.random.default_rng(0).standard_normal(shape), BANK)
+        n, m = shape[0], BANK.transform_length(shape[0])
+        base = pyr.levels[0].base
+        assert all(level.base is base for level in pyr.levels)
+        assert base.shape == (len(BANK) * n + m - n,) + shape[1:]
 
     def test_too_short_signal_rejected(self):
         bank = default_bank()

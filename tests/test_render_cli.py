@@ -127,6 +127,29 @@ class TestCli:
         assert main(["train", feats, "-o", str(tmp_path / "m.bin")]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {feats}: no feature rows"]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--roi", "100:900"], "ROI [100, 900] exceeds 512 bins"),
+        (["--band", "40:150"], "band [40.0, 150.0] Hz exceeds Nyquist 100.0 Hz"),
+        (["--band", "41:49", "--window", "0.05:0.05"], "band [41.0, 49.0] Hz contains no DFT bins"),
+    ], ids=["roi", "nyquist", "no-dct-bin"])
+    def test_record_level_feature_error_is_one_line(self, scene_rgrm, tmp_path, flags, message):
+        feats = tmp_path / "f.csv"
+        argv = ["features", scene_rgrm, "-o", str(feats), "--band", "40:50", "--window", "2:0.5",
+                "--roi", "100:156"] + flags
+        assert run_cli(argv) == (1, [f"error: {message}"])
+        assert not feats.exists()
+
+    @pytest.mark.parametrize("command", ["magnify", "features"])
+    def test_zero_bandwidth_divisor_is_user_error(self, scene_rgrm, tmp_path, command):
+        bank = tmp_path / "bank.cfg"
+        bank.write_text("wavelengths = 16, 8\nbandwidth_divisor = 0\n")
+        out = str(tmp_path / "out")
+        argv = {"magnify": ["magnify", scene_rgrm, out, "--alpha", "1", "--band", "40:50"],
+                "features": ["features", scene_rgrm, "-o", out, "--band", "40:50",
+                             "--window", "2:0.5", "--roi", "100:156"]}[command]
+        assert run_cli(argv + ["--bank", str(bank)]) == (
+            1, [f"error: {bank}: bandwidth_divisor must be positive and finite, got 0.0"])
+
     @pytest.mark.parametrize("flags", [
         ["--max-depth", "-1"], ["--min-leaf", "0"], ["--min-leaf", "-3"],
         ["--model", "ols", "--ridge", "nan"], ["--model", "ols", "--ridge", "inf"],
