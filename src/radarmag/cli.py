@@ -3,7 +3,8 @@
 Subcommands: simulate, magnify, features, train, eval, render.  Every run is
 reproducible: the same flags and seeds produce byte-identical outputs.  Exit
 codes: 0 success (also for --help), 1 user error (bad flags, arguments,
-files, or configs; one line on stderr), 2 internal error.
+files, or configs, and OS errors reading or writing files; one line on
+stderr), 2 internal error.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from . import gabor
 from .features import (feature_names, featurize, read_features_csv,
                        read_labels_csv, write_features_csv)
 from .magnify import BandSpec, MagnifyConfig, magnify, magnify_windowed
-from .radargram import (FormatError, RangeROI, WindowSpec, load_radargram,
-                        save_radargram)
-from .regress import Dataset, fit_ols, fit_rf, kfold_mae, load_model, save_model
+from .radargram import RangeROI, WindowSpec, load_radargram, save_radargram
+from .regress import Dataset, kfold_mae, load_model, regress, save_model
 from .render import render_heatmap, write_ppm
 from .simulate import load_scene_config, save_truth_csv, simulate
 
@@ -45,7 +45,7 @@ _roi = _pair("roi", int, RangeROI)
 _clip = _pair("clip", float, lambda lo, hi: (lo, hi))
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """A malformed command line; reported as a user error (exit 1)."""
 
 
@@ -170,11 +170,7 @@ def cmd_train(args) -> int:
     else:
         params = dict(ridge=args.ridge)
     report = kfold_mae(data, k=args.folds, model=args.model, seed=args.seed, **params)
-    if args.model == "rf":
-        model = fit_rf(data, seed=args.seed, **params)
-    else:
-        model = fit_ols(data, **params)
-    save_model(model, args.output)
+    save_model(regress(data, args.model, seed=args.seed, **params), args.output)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(report.to_text())
@@ -228,12 +224,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](args)
-    except (FormatError, FileNotFoundError, PermissionError, IsADirectoryError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort boundary

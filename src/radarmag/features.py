@@ -65,16 +65,17 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
     time, bandpassed, and averaged across ROI bins weighted by the
     window-mean squared amplitude of each bin.
 
-    Without wspec, r is one window, decomposed whole, and the result is its
-    list of signals; a level with zero amplitude in the ROI is a ValueError.
-    With wspec, r is a record and the result is a (start_frame, signals)
-    pair per wspec.starts, where signals is that ValueError for a window
-    with zero ROI amplitude at some level.  The record is decomposed once,
-    over only the rows the ROI's coefficients depend on, and each level is
-    unwrapped once.  A window's phase is the record's unwrap shifted by the
-    multiple of 2*pi that puts its first sample back on the wrapped phase,
-    which is the window's own unwrap, so only the bandpass and the
-    weighting run per window.
+    Without wspec, r is one window and the result is its list of signals;
+    a level with zero amplitude in the ROI is a ValueError.  With wspec, r
+    is a record and the result is a (start_frame, signals) pair per
+    wspec.starts, where signals is that ValueError for a window with zero
+    ROI amplitude at some level, the one reason a window is skipped.  A
+    lone window is the one-window record: both decompose only the rows the
+    ROI's coefficients depend on and unwrap each level once.  A window's
+    phase is the record's unwrap shifted by the multiple of 2*pi that puts
+    its first sample back on the wrapped phase, which is the window's own
+    unwrap, so only the bandpass and the weighting run per window.  ROI
+    power that overflows float64 at some level is a ValueError.
     """
     roi.validate(r.n_bins)
     band.validate(r.fps)
@@ -82,14 +83,18 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
         length, starts = r.n_frames, range(1)
     else:
         length, starts = wspec.frames(r.fps)[0], wspec.starts(r.n_frames, r.fps)
-        rows = _analysis_rows(roi, bank.max_radius, r.n_bins)
-        r = r.with_data(r.data[rows])
-        roi = RangeROI(roi.first_bin - rows.start, roi.last_bin - rows.start)
-    pyr = decompose(r.data, bank)
+    rows = _analysis_rows(roi, bank.max_radius, r.n_bins)
+    pyr = decompose(r.data[rows], bank)
+    roi_rows = slice(roi.first_bin - rows.start, roi.last_bin + 1 - rows.start)
     per_window = [[] for _ in starts]
     for k, (params, level) in enumerate(zip(bank.levels, pyr.levels)):
-        sub = level[roi.slice]
-        power = np.abs(sub) ** 2
+        sub = level[roi_rows]
+        with np.errstate(over="ignore"):
+            power = np.abs(sub) ** 2
+            # a finite total bounds every window mean and sum taken below
+            if not np.isfinite(power.sum()):
+                raise ValueError(f"level {k} (wavelength {params.wavelength}): "
+                                 "ROI power overflows float64")
         angle = np.angle(sub)
         phase = unwrap_phase(angle, axis=1)
         for i, s in enumerate(starts):
@@ -103,7 +108,7 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
                 per_window[i] = ValueError(
                     f"level {k} (wavelength {params.wavelength}) has zero amplitude in ROI")
                 continue
-            # the shift is exactly 0 at s = 0, so a lone window keeps its own unwrap bit for bit
+            # the shift is exactly 0 at s = 0, so a window's first sample keeps its wrapped phase
             window_phase = phase[:, s : s + length] - (phase[:, s] - angle[:, s])[:, None]
             filtered = dct_bandpass(window_phase, r.fps, band, axis=1)
             per_window[i].append(LevelSignal(level_index=k, wavelength=params.wavelength,
@@ -176,14 +181,15 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
 
     With alpha = 0 the record is analysed once by level_signals; only the
     bandpass runs per window.  alpha != 0 magnifies each window on its own
-    before extraction (the band doubles as the magnification passband), so
-    that path decomposes every window.
+    (the band doubles as the magnification passband) and analyses it as a
+    one-window record, so that path decomposes every window.
 
     An invalid alpha, a record shorter than one window, an ROI beyond the
     record, and a band above Nyquist or with no DCT bin at the window
-    length are ValueErrors, raised before any window is analysed.  A window
-    with zero ROI amplitude at some level, or with a non-finite magnified
-    coefficient, is skipped with a warning.
+    length are ValueErrors, raised before any window is analysed; a
+    non-finite magnified coefficient or ROI power overflowing float64 is a
+    ValueError too.  The one reason to skip a window, with a warning, is
+    zero ROI amplitude at some level.
     """
     cfg = MagnifyConfig(alpha=alpha, band=band)
     length, _ = wspec.frames(r.fps)
@@ -197,11 +203,12 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     if alpha == 0.0:
         cut = level_signals(r, bank, band, roi, wspec)
     else:
-        cut = _magnified_signals(r, bank, wspec, cfg, roi)
+        cut = [(start, level_signals(magnify(window, bank, cfg), bank, band, roi, wspec)[0][1])
+               for start, window in windows(r, wspec)]
     out = []
     for start, signals in cut:
         start_s = start / r.fps
-        if isinstance(signals, Exception):
+        if isinstance(signals, ValueError):
             log.warning("skipping window at %.2fs: %s", start_s, signals)
             continue
         feats = np.array([fft_peak_bpm(s, band) for s in signals]
@@ -211,27 +218,6 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
             label = window_label(labels, start_s, wspec.length_s)
         out.append(FeatureRow(window_start_s=start_s, features=feats, label_bpm=label))
     return out
-
-
-def _magnified_signals(r: Radargram, bank: GaborBank, wspec: WindowSpec,
-                       cfg: MagnifyConfig, roi: RangeROI):
-    """(start_frame, signals or the error that skips the window) per window,
-    each window magnified on its own and then analysed as one window.
-
-    A ValueError from magnify concerns the window length, band or bank, so
-    it is raised, not turned into one skip per window.
-    """
-    for start, window in windows(r, wspec):
-        try:
-            magnified = magnify(window, bank, cfg)
-        except FloatingPointError as exc:
-            yield start, exc
-            continue
-        try:
-            signals = level_signals(magnified, bank, cfg.band, roi)
-        except ValueError as exc:
-            signals = exc
-        yield start, signals
 
 
 def window_label(labels: np.ndarray, start_s: float, length_s: float) -> float:

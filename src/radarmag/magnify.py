@@ -178,6 +178,7 @@ def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
     one level is held in memory.  With alpha = 0 every coefficient is
     multiplied by exactly 1 and the output equals
     reconstruct(decompose(data)) bit for bit: both run the same synthesis.
+    A non-finite rotated coefficient is a ValueError naming its level.
     """
     if r.n_frames < 4:
         raise ValueError(f"need at least 4 frames, got {r.n_frames}")
@@ -187,7 +188,7 @@ def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
         _rotate_level(level, r.fps, cfg)
         if not np.isfinite(level).all():
             bad = np.argwhere(~np.isfinite(level))[0]
-            raise FloatingPointError(
+            raise ValueError(
                 f"non-finite coefficient at level {k} (wavelength {bank.levels[k].wavelength}), "
                 f"bin {bad[0]}, frame {bad[1]}")
 

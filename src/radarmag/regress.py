@@ -317,13 +317,22 @@ def fit_rf(train: Dataset, n_trees: int = 100, max_depth: int = 12,
     return ForestModel(trees, n_features=X.shape[1], seed=seed)
 
 
+def regress(data: Dataset, model: str = "rf", seed: int = 0, **params):
+    """fit_rf (params: n_trees, max_depth, min_leaf; seeded) when model is
+    'rf', fit_ols (params: ridge; seed unused) when it is 'ols'."""
+    if model == "rf":
+        return fit_rf(data, seed=seed, **params)
+    if model == "ols":
+        return fit_ols(data, **params)
+    raise ValueError(f"unknown model {model!r}, expected 'rf' or 'ols'")
+
+
 def kfold_mae(data: Dataset, k: int = 10, model: str = "rf", seed: int = 0,
               **params) -> ModelReport:
     """Shuffled k-fold cross-validation, reporting MAE in bpm per fold.
 
-    model is 'rf' (params: n_trees, max_depth, min_leaf) or 'ols'
-    (params: ridge).  The shuffle is seeded once; folds partition the rows
-    exactly.
+    model and params are as for regress, and fold i fits with seed + i.
+    The shuffle is seeded once; folds partition the rows exactly.
     """
     n = len(data)
     if k > n:
@@ -336,12 +345,7 @@ def kfold_mae(data: Dataset, k: int = 10, model: str = "rf", seed: int = 0,
     for i, test_idx in enumerate(folds):
         train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
         subset = Dataset(data.X[train_idx], data.y[train_idx])
-        if model == "rf":
-            fitted = fit_rf(subset, seed=seed + i, **params)
-        elif model == "ols":
-            fitted = fit_ols(subset, **params)
-        else:
-            raise ValueError(f"unknown model {model!r}, expected 'rf' or 'ols'")
+        fitted = regress(subset, model, seed=seed + i, **params)
         fold_maes.append(float(np.abs(fitted.predict(data.X[test_idx]) - data.y[test_idx]).mean()))
     return ModelReport(kind=model, fold_maes=tuple(fold_maes), seed=seed)
 

@@ -263,15 +263,23 @@ class TestRecordLevelFeaturize:
     def test_level_signals_match_per_window_oracle(self, case):
         # Compared on the signals, not the features: an FFT peak or a
         # zero-crossing count jumps at ties, and a window with one non-silent
-        # frame has a flat spectrum whose peak roundoff alone decides.  The
-        # record's crop and the window are decomposed at different transform
-        # lengths; a coefficient's angle carries that roundoff divided by its
-        # magnitude, so a noise-only bin near a zero crossing amplifies it
-        # (2000 random cases peaked at 1e-11 rad).
+        # frame has a flat spectrum whose peak roundoff alone decides.  A
+        # window's phase is the record's unwrap re-anchored at its first
+        # sample, a running sum over every earlier frame, so it carries
+        # roundoff that the window's own unwrap does not.
         r, wspec, band, roi = case
         bank = default_bank()
         got = level_signals(r, bank, band, roi, wspec)
         expected = per_window_oracle(r, bank, wspec, band, roi)
+        # a lone window is the one-window record, bit for bit
+        for (_, window), (_, oracle) in zip(windows(r, wspec), expected):
+            [(first, alone)] = level_signals(window, bank, band, roi, wspec)
+            assert first == 0
+            if isinstance(oracle, ValueError):
+                assert str(alone) == str(oracle)
+                continue
+            for s, o in zip(alone, oracle, strict=True):
+                assert np.array_equal(s.series, o.series)
         assert [start / r.fps for start, _ in got] == [start_s for start_s, _ in expected]
         for (_, signals), (_, oracle) in zip(got, expected):
             if isinstance(oracle, ValueError):

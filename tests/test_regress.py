@@ -6,6 +6,7 @@ import pytest
 
 from radarmag import (BandSpec, Dataset, ForestModel, FormatError, fit_ols, fit_rf,
                       kfold_mae, load_model, save_model, simulate, temporal_fft_baseline)
+from radarmag.regress import regress
 
 from scenes import BREATHER_ROI, breather_scene
 
@@ -272,6 +273,12 @@ class TestKfold:
     def test_k_exceeding_rows_rejected(self):
         with pytest.raises(ValueError):
             kfold_mae(linear_dataset(n=5), k=10, model="ols")
+
+    def test_unknown_model_rejected(self):
+        data = linear_dataset(n=9)
+        for fit in (lambda: kfold_mae(data, k=3, model="svm"), lambda: regress(data, "svm")):
+            with pytest.raises(ValueError, match="unknown model 'svm', expected 'rf' or 'ols'"):
+                fit()
 
 
 class TestBaseline:

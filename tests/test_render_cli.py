@@ -12,7 +12,7 @@ from radarmag import (Dataset, FeatureRow, Radargram, default_bank, feature_name
                       save_radargram, simulate, write_features_csv, write_ppm)
 from radarmag.cli import main
 
-from scenes import validation_scene
+from scenes import breather_scene, validation_scene
 
 
 class TestRender:
@@ -190,6 +190,32 @@ class TestCli:
     def test_nonexistent_input_is_user_error(self, tmp_path, capsys):
         code = main(["render", str(tmp_path / "missing.rgrm"), str(tmp_path / "x.ppm")])
         assert code == 1
+        # a path through a regular file is an OS error, reported like a missing file
+        through_file = str(tmp_path / "file")
+        (tmp_path / "file").write_text("")
+        for argv in (["simulate", "configs/validation_scene.cfg", "-o", through_file + "/x.rgrm"],
+                     ["render", through_file + "/x.rgrm", str(tmp_path / "x.ppm")]):
+            assert run_cli(argv) == (
+                1, [f"error: [Errno 20] Not a directory: '{through_file}/x.rgrm'"])
+
+    @pytest.mark.parametrize("scale, argv, message", [
+        (1e306, ["magnify", "out", "--alpha", "2"], "non-finite coefficient at level 3 "),
+        (1e306, ["features", "-o", "out", "--window", "30:5", "--roi", "34:62", "--alpha", "2"],
+         "non-finite coefficient at level 3 "),
+        (1e160, ["features", "-o", "out", "--window", "30:5", "--roi", "34:62"],
+         "level 0 (wavelength 75.0): ROI power overflows float64"),
+    ], ids=["magnify", "features-alpha-2", "features"])
+    def test_overflowing_record_is_one_line(self, tmp_path, caplog, scale, argv, message):
+        # the breather of tests/scenes.py scaled until its Gabor coefficients
+        # (1e306) or their squares (1e160) overflow float64
+        r, _ = simulate(breather_scene(0.25, 0.5), seed=1)
+        path = str(tmp_path / "scaled.rgrm")
+        save_radargram(r.with_data(r.data * scale), path)
+        argv = [argv[0], path] + [str(tmp_path / a) if a == "out" else a for a in argv[1:]]
+        code, err = run_cli(argv + ["--band", "0.1:0.7"])
+        assert code == 1 and len(err) == 1 and err[0].startswith(f"error: {message}"), err
+        assert not (tmp_path / "out").exists()
+        assert not [rec for rec in caplog.records if "skipping window" in rec.getMessage()]
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "configs/validation_scene.cfg", "-o", "x.rgrm", "--seed", "abc"],
