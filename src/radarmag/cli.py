@@ -163,8 +163,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    rows, names = read_features_csv(args.features)
-    data = Dataset.from_rows(rows, feature_names=names)
+    rows, _ = read_features_csv(args.features)
+    data = Dataset.from_rows(rows)
     if args.model == "rf":
         params = dict(n_trees=args.trees, max_depth=args.max_depth, min_leaf=args.min_leaf)
     else:

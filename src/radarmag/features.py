@@ -62,8 +62,9 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
     every window of a record.
 
     Per level, coefficient phases over the ROI are unwrapped along slow
-    time, bandpassed, and averaged across ROI bins weighted by the
-    window-mean squared amplitude of each bin.
+    time, averaged across ROI bins weighted by the window-mean squared
+    amplitude of each bin, and then bandpassed; the bandpass is linear, so
+    the weighted mean commutes with it.
 
     Without wspec, r is one window and the result is its list of signals;
     a level with zero amplitude in the ROI is a ValueError.  With wspec, r
@@ -74,8 +75,9 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
     ROI's coefficients depend on and unwrap each level once.  A window's
     phase is the record's unwrap shifted by the multiple of 2*pi that puts
     its first sample back on the wrapped phase, which is the window's own
-    unwrap, so only the bandpass and the weighting run per window.  ROI
-    power that overflows float64 at some level is a ValueError.
+    unwrap, so only the weighting runs per window, and one bandpass per
+    level filters every window's series.  ROI power that overflows float64
+    at some level is a ValueError.
     """
     roi.validate(r.n_bins)
     band.validate(r.fps)
@@ -96,7 +98,8 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
                 raise ValueError(f"level {k} (wavelength {params.wavelength}): "
                                  "ROI power overflows float64")
         angle = np.angle(sub)
-        phase = unwrap_phase(angle, axis=1)
+        phase = unwrap_phase(angle)
+        weighted = {}
         for i, s in enumerate(starts):
             if isinstance(per_window[i], ValueError):
                 continue
@@ -110,9 +113,12 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
                 continue
             # the shift is exactly 0 at s = 0, so a window's first sample keeps its wrapped phase
             window_phase = phase[:, s : s + length] - (phase[:, s] - angle[:, s])[:, None]
-            filtered = dct_bandpass(window_phase, r.fps, band, axis=1)
-            per_window[i].append(LevelSignal(level_index=k, wavelength=params.wavelength,
-                                             series=weights @ filtered / total, fps=r.fps))
+            weighted[i] = weights @ window_phase / total
+        if weighted:
+            filtered = dct_bandpass(np.stack(list(weighted.values())), r.fps, band)
+            for i, series in zip(weighted, filtered):
+                per_window[i].append(LevelSignal(level_index=k, wavelength=params.wavelength,
+                                                 series=series, fps=r.fps))
     if wspec is not None:
         return list(zip(starts, per_window))
     if isinstance(per_window[0], ValueError):
@@ -176,13 +182,14 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
 
     Features per window: fft_peak_bpm per level (searched inside ``band``)
     followed by zcr_hz per level, 2 x levels in total.  labels, if given, is
-    a (time_s, bpm) array; each window's label is the mean bpm over the
-    window.
+    a (time_s, bpm) array; each window's label is the mean bpm over its
+    frames, [start, start + length) / fps.
 
     With alpha = 0 the record is analysed once by level_signals; only the
-    bandpass runs per window.  alpha != 0 magnifies each window on its own
-    (the band doubles as the magnification passband) and analyses it as a
-    one-window record, so that path decomposes every window.
+    ROI weighting runs per window, and the weighted series of all windows
+    are bandpassed once per level.  alpha != 0 magnifies each window on its
+    own (the band doubles as the magnification passband) and analyses it as
+    a one-window record, so that path decomposes every window.
 
     An invalid alpha, a record shorter than one window, an ROI beyond the
     record, and a band above Nyquist or with no DCT bin at the window
@@ -215,15 +222,15 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
                          + [zcr_hz(s) for s in signals])
         label = None
         if labels is not None:
-            label = window_label(labels, start_s, wspec.length_s)
+            label = window_label(labels, start_s, (start + length) / r.fps)
         out.append(FeatureRow(window_start_s=start_s, features=feats, label_bpm=label))
     return out
 
 
-def window_label(labels: np.ndarray, start_s: float, length_s: float) -> float:
-    """Mean ground-truth bpm over [start_s, start_s + length_s)."""
+def window_label(labels: np.ndarray, start_s: float, end_s: float) -> float:
+    """Mean ground-truth bpm over [start_s, end_s)."""
     t, bpm = labels[:, 0], labels[:, 1]
-    inside = (t >= start_s) & (t < start_s + length_s)
+    inside = (t >= start_s) & (t < end_s)
     if not inside.any():
         raise ValueError(f"no label samples cover window starting at {start_s}s")
     return float(bpm[inside].mean())

@@ -75,8 +75,8 @@ class MagnifyConfig:
             raise ValueError(f"alpha must be finite and >= -1, got {self.alpha}")
 
 
-def unwrap_phase(series: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Unwrap radians along an axis.
+def unwrap_phase(series: np.ndarray) -> np.ndarray:
+    """Unwrap radians along the last axis.
 
     Successive differences are mapped into (-pi, pi] by adding multiples of
     2*pi; the first sample is unchanged.
@@ -84,28 +84,21 @@ def unwrap_phase(series: np.ndarray, axis: int = -1) -> np.ndarray:
     p = np.asarray(series, dtype=np.float64)
     if not np.isfinite(p).all():
         raise ValueError("phase series contains non-finite samples")
-    axis %= p.ndim
-    if p.shape[axis] < 2:
+    if p.shape[-1] < 2:
         return p.copy()
-
-    def part(sl):
-        index = [slice(None)] * p.ndim
-        index[axis] = sl
-        return tuple(index)
-
     out = np.empty_like(p)
-    first = p[part(slice(0, 1))]
-    d = out[part(slice(1, None))]
-    np.subtract(p[part(slice(1, None))], p[part(slice(None, -1))], out=d)
+    first = p[..., :1]
+    d = out[..., 1:]
+    np.subtract(p[..., 1:], p[..., :-1], out=d)
     wraps = d - np.pi
     wraps /= 2.0 * np.pi
     np.ceil(wraps, out=wraps)
     wraps *= 2.0 * np.pi
     d -= wraps
     del wraps
-    np.cumsum(d, axis=axis, out=d)
+    np.cumsum(d, axis=-1, out=d)
     d += first
-    out[part(slice(0, 1))] = first
+    out[..., :1] = first
     return out
 
 
@@ -154,7 +147,7 @@ def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
 
 def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
     """Rotate one level (bins x frames) in place by alpha times its filtered phase."""
-    phase = unwrap_phase(np.angle(level), axis=1)
+    phase = unwrap_phase(np.angle(level))
     amplitude = np.abs(level)
     peak = amplitude.max()
     if peak > 0:

@@ -6,7 +6,7 @@ the raw temporal-FFT baseline they are compared against.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -25,7 +25,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -36,14 +35,14 @@ class Dataset:
             raise ValueError("dataset contains non-finite values")
 
     @classmethod
-    def from_rows(cls, rows: list[FeatureRow], feature_names=None) -> "Dataset":
+    def from_rows(cls, rows: list[FeatureRow]) -> "Dataset":
         if not rows:
             raise ValueError("no labelled feature rows")
         if any(r.label_bpm is None for r in rows):
             raise ValueError("all rows need labels to build a dataset")
         X = np.stack([r.features for r in rows])
         y = np.array([r.label_bpm for r in rows])
-        return cls(X, y, feature_names=list(feature_names or []))
+        return cls(X, y)
 
     def __len__(self) -> int:
         return len(self.y)

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from radarmag import (BandSpec, LevelSignal, MagnifyConfig, Radargram, RangeROI,
-                      SceneSpec, TargetSpec, WindowSpec, default_bank, feature_names,
-                      featurize, fft_peak_bpm, level_signals, magnify,
-                      read_features_csv, read_labels_csv, save_radargram, simulate,
-                      windows, write_features_csv, zcr_hz)
+                      SceneSpec, TargetSpec, WindowSpec, dct_bandpass, decompose,
+                      default_bank, feature_names, featurize, fft_peak_bpm, level_signals,
+                      magnify, read_features_csv, read_labels_csv, save_radargram, simulate,
+                      unwrap_phase, windows, write_features_csv, zcr_hz)
 from radarmag import features as features_module
 from radarmag.cli import main
 
@@ -125,6 +125,15 @@ class TestFeaturize:
         rows = featurize(record, default_bank(), WindowSpec(30.0, 5.0), RR_BAND,
                          BREATHER_ROI, labels=labels)
         assert all(row.label_bpm == pytest.approx(15.0) for row in rows)
+        # the mean is over the window's frames: 2.525 s at 20 fps rounds to
+        # 51 frames, so window 0 spans [0, 2.55) s
+        t = np.arange(2400) / 40.0
+        bpm = np.full_like(t, 10.0)
+        bpm[101] = 100.0   # at t = 2.525 s
+        rows = featurize(record, default_bank(), WindowSpec(2.525, 2.525), RR_BAND,
+                         BREATHER_ROI, labels=np.column_stack([t, bpm]))
+        assert rows[0].label_bpm == pytest.approx(10.0 + 90.0 / 102)
+        assert all(row.label_bpm == 10.0 for row in rows[1:])
 
     def test_deterministic_csv(self, record, tmp_path):
         bank = default_bank()
@@ -206,6 +215,20 @@ def per_window_oracle(r, bank, wspec, band, roi, alpha=0.0):
     return out
 
 
+def per_row_reference(window, bank, band, roi):
+    """Filter, then weight: per level, every ROI row's unwrapped phase
+    bandpassed on its own, then the rows' mean weighted by their mean power."""
+    rows = features_module._analysis_rows(roi, bank.max_radius, window.n_bins)
+    pyr = decompose(window.data[rows], bank)
+    out = []
+    for level in pyr.levels:
+        sub = level[roi.first_bin - rows.start : roi.last_bin + 1 - rows.start]
+        weights = (np.abs(sub) ** 2).mean(axis=1)
+        filtered = dct_bandpass(unwrap_phase(np.angle(sub)), window.fps, band)
+        out.append(weights @ filtered / weights.sum())
+    return out
+
+
 def features_of(signals, band):
     return np.array([fft_peak_bpm(s, band) for s in signals] + [zcr_hz(s) for s in signals])
 
@@ -260,6 +283,8 @@ class TestRecordLevelFeaturize:
     @given(record_cases())
     @example((simulate(breather_scene(0.25, 0.5, duration_s=20.0), seed=0)[0],
               WindowSpec(5.0, 1.5), BandSpec(0.0, 0.7), RangeROI(0, 95))).via("ROI of every bin")
+    @example((simulate(breather_scene(0.25, 0.5, duration_s=1.5), seed=0)[0],
+              WindowSpec(2.0, 1.0), RR_BAND, BREATHER_ROI)).via("record shorter than one window")
     def test_level_signals_match_per_window_oracle(self, case):
         # Compared on the signals, not the features: an FFT peak or a
         # zero-crossing count jumps at ties, and a window with one non-silent
@@ -271,15 +296,19 @@ class TestRecordLevelFeaturize:
         bank = default_bank()
         got = level_signals(r, bank, band, roi, wspec)
         expected = per_window_oracle(r, bank, wspec, band, roi)
-        # a lone window is the one-window record, bit for bit
+        # a lone window is the one-window record, bit for bit, and weighting
+        # before the bandpass matches bandpassing every ROI row before it
         for (_, window), (_, oracle) in zip(windows(r, wspec), expected):
             [(first, alone)] = level_signals(window, bank, band, roi, wspec)
             assert first == 0
             if isinstance(oracle, ValueError):
                 assert str(alone) == str(oracle)
                 continue
-            for s, o in zip(alone, oracle, strict=True):
+            for s, o, ref in zip(alone, oracle, per_row_reference(window, bank, band, roi),
+                                 strict=True):
                 assert np.array_equal(s.series, o.series)
+                assert np.abs(s.series - ref).max() <= 1e-12
+        # a record shorter than one window has none
         assert [start / r.fps for start, _ in got] == [start_s for start_s, _ in expected]
         for (_, signals), (_, oracle) in zip(got, expected):
             if isinstance(oracle, ValueError):
@@ -317,8 +346,9 @@ class TestRecordLevelFeaturize:
         assert len(rows) == 4
 
     def test_one_decomposition_and_one_unwrap_per_level(self, record, monkeypatch):
-        calls = {"decompose": [], "unwrap_phase": 0}
+        calls = {"decompose": [], "unwrap_phase": 0, "dct_bandpass": 0}
         decompose, unwrap = features_module.decompose, features_module.unwrap_phase
+        bandpass = features_module.dct_bandpass
 
         def counted_decompose(signal, bank):
             calls["decompose"].append(signal.shape)
@@ -328,13 +358,20 @@ class TestRecordLevelFeaturize:
             calls["unwrap_phase"] += 1
             return unwrap(*args, **kwargs)
 
+        def counted_bandpass(*args, **kwargs):
+            calls["dct_bandpass"] += 1
+            return bandpass(*args, **kwargs)
+
         monkeypatch.setattr(features_module, "decompose", counted_decompose)
         monkeypatch.setattr(features_module, "unwrap_phase", counted_unwrap)
+        monkeypatch.setattr(features_module, "dct_bandpass", counted_bandpass)
         bank = default_bank()
         rows = featurize(record, bank, WindowSpec(30.0, 5.0), RR_BAND, BREATHER_ROI)
         assert len(rows) == 7
-        # ROI rows 34..62 plus the 20-bin radius of the 75-bin kernel on each side
-        assert calls == {"decompose": [(69, record.n_frames)], "unwrap_phase": len(bank)}
+        # ROI rows 34..62 plus the 20-bin radius of the 75-bin kernel on each
+        # side; each level's one bandpass filters all 7 windows
+        assert calls == {"decompose": [(69, record.n_frames)], "unwrap_phase": len(bank),
+                         "dct_bandpass": len(bank)}
 
     @pytest.mark.parametrize("roi, band, message", [
         (RangeROI(90, 100), RR_BAND, "ROI [90, 100] exceeds 96 bins"),
