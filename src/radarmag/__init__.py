@@ -18,7 +18,7 @@ from .magnify import (BandSpec, MagnifyConfig, dct_bandpass, global_magnify,
                       magnify, magnify_windowed, unwrap_phase)
 from .simulate import (SceneSpec, TargetSpec, estimate_displacement,
                        load_scene_config, pulse_template, save_truth_csv, simulate)
-from .features import (FeatureRow, LevelSignal, feature_names, featurize,
+from .features import (FeatureRow, feature_names, featurize,
                        fft_peak_bpm, level_signals, read_features_csv,
                        read_labels_csv, write_features_csv, zcr_hz)
 from .regress import (Dataset, ForestModel, LinearModel, ModelReport, fit_ols,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandSpec", "Dataset", "FeatureRow", "ForestModel", "FormatError",
-    "GaborBank", "GaborParams", "LevelSignal", "LinearModel", "MagnifyConfig",
+    "GaborBank", "GaborParams", "LinearModel", "MagnifyConfig",
     "ModelReport", "DEFAULT_WAVELENGTHS", "Pyramid", "Radargram", "RangeROI",
     "SceneSpec", "TargetSpec", "WindowSpec",
     "dct_bandpass", "decompose", "decompose_direct",

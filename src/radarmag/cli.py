@@ -163,6 +163,10 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
+    # the model file holds the forest seed as an int64; the fold seeds
+    # seed + i of cross-validation are never written
+    if args.model == "rf" and not 0 <= args.seed < 2**63:
+        raise ValueError(f"forest seed {args.seed} is outside [0, 2**63)")
     rows, _ = read_features_csv(args.features)
     data = Dataset.from_rows(rows)
     if args.model == "rf":

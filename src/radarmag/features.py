@@ -1,8 +1,11 @@
 """Per-window vital-sign features: one bandpassed 1-D phase signal per Gabor
-wavelength, summarized by its FFT spectral peak (bpm) and zero-crossing rate.
+wavelength and window, summarized by its FFT spectral peak (bpm) and
+zero-crossing rate.
 
-A record is decomposed once and cut into windows only after the phase
-unwrap, since range-axis analysis acts on each frame on its own.
+The signals of a record form one levels x windows x samples array, and each
+feature is taken along its last axis for every window at once.  A record is
+decomposed once and cut into windows only after the phase unwrap, since
+range-axis analysis acts on each frame on its own.
 """
 
 from __future__ import annotations
@@ -17,20 +20,6 @@ from .magnify import BandSpec, MagnifyConfig, dct_bandpass, magnify, unwrap_phas
 from .radargram import Radargram, RangeROI, WindowSpec, config_number, windows
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class LevelSignal:
-    """Slow-time motion signal extracted from one pyramid level."""
-
-    level_index: int
-    wavelength: float
-    series: np.ndarray
-    fps: float
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.series) / self.fps
 
 
 @dataclass(frozen=True)
@@ -57,27 +46,26 @@ def _analysis_rows(roi: RangeROI, radius: int, n_bins: int) -> slice:
 
 def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
                   wspec: WindowSpec | None = None
-                  ) -> list[LevelSignal] | list[tuple[int, list[LevelSignal] | ValueError]]:
-    """One bandpassed phase series per bank level, for one window or for
-    every window of a record.
+                  ) -> tuple[range, np.ndarray, list[str | None]]:
+    """Bandpassed phase series of every bank level and window of a record,
+    as (starts, series, skips).
+
+    starts is wspec.starts, or range(1) without wspec: then the whole
+    record is one window.  series is a float64 levels x windows x window
+    length array; series[k, i] belongs to level k and window i.  skips[i]
+    is None, or why window i is skipped: zero ROI amplitude at some level,
+    from which on its series is zero.
 
     Per level, coefficient phases over the ROI are unwrapped along slow
     time, averaged across ROI bins weighted by the window-mean squared
-    amplitude of each bin, and then bandpassed; the bandpass is linear, so
-    the weighted mean commutes with it.
-
-    Without wspec, r is one window and the result is its list of signals;
-    a level with zero amplitude in the ROI is a ValueError.  With wspec, r
-    is a record and the result is a (start_frame, signals) pair per
-    wspec.starts, where signals is that ValueError for a window with zero
-    ROI amplitude at some level, the one reason a window is skipped.  A
-    lone window is the one-window record: both decompose only the rows the
-    ROI's coefficients depend on and unwrap each level once.  A window's
-    phase is the record's unwrap shifted by the multiple of 2*pi that puts
-    its first sample back on the wrapped phase, which is the window's own
-    unwrap, so only the weighting runs per window, and one bandpass per
-    level filters every window's series.  ROI power that overflows float64
-    at some level is a ValueError.
+    amplitude of each bin, and then bandpassed once for all windows; the
+    bandpass is linear, so the weighted mean commutes with it.  Only the
+    ROI rows plus the largest kernel radius are decomposed, and each level
+    is unwrapped once.  A window's phase is the record's unwrap shifted by
+    the multiple of 2*pi that puts its first sample back on the wrapped
+    phase, which is the window's own unwrap, so a lone window is the
+    one-window record, bit for bit.  ROI power that overflows float64 at
+    some level is a ValueError.
     """
     roi.validate(r.n_bins)
     band.validate(r.fps)
@@ -88,7 +76,8 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
     rows = _analysis_rows(roi, bank.max_radius, r.n_bins)
     pyr = decompose(r.data[rows], bank)
     roi_rows = slice(roi.first_bin - rows.start, roi.last_bin + 1 - rows.start)
-    per_window = [[] for _ in starts]
+    series = np.zeros((len(bank), len(starts), length))
+    skips = [None] * len(starts)
     for k, (params, level) in enumerate(zip(bank.levels, pyr.levels)):
         sub = level[roi_rows]
         with np.errstate(over="ignore"):
@@ -99,75 +88,67 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
                                  "ROI power overflows float64")
         angle = np.angle(sub)
         phase = unwrap_phase(angle)
-        weighted = {}
         for i, s in enumerate(starts):
-            if isinstance(per_window[i], ValueError):
+            if skips[i] is not None:
                 continue
             # a direct mean, not a difference of cumulative sums: that loses
             # the relative precision of a quiet window after a loud stretch
             weights = power[:, s : s + length].mean(axis=1)
             total = weights.sum()
             if total <= 0:
-                per_window[i] = ValueError(
-                    f"level {k} (wavelength {params.wavelength}) has zero amplitude in ROI")
+                skips[i] = f"level {k} (wavelength {params.wavelength}) has zero amplitude in ROI"
                 continue
             # the shift is exactly 0 at s = 0, so a window's first sample keeps its wrapped phase
             window_phase = phase[:, s : s + length] - (phase[:, s] - angle[:, s])[:, None]
-            weighted[i] = weights @ window_phase / total
-        if weighted:
-            filtered = dct_bandpass(np.stack(list(weighted.values())), r.fps, band)
-            for i, series in zip(weighted, filtered):
-                per_window[i].append(LevelSignal(level_index=k, wavelength=params.wavelength,
-                                                 series=series, fps=r.fps))
-    if wspec is not None:
-        return list(zip(starts, per_window))
-    if isinstance(per_window[0], ValueError):
-        raise per_window[0]
-    return per_window[0]
+            series[k, i] = weights @ window_phase / total
+        kept = [i for i, skip in enumerate(skips) if skip is None]
+        if kept:
+            series[k, kept] = dct_bandpass(series[k, kept], r.fps, band)
+    return starts, series, skips
 
 
-def fft_peak_bpm(signal: LevelSignal, search_band: BandSpec) -> float:
-    """Frequency of the largest magnitude-spectrum peak inside the band, in bpm.
+def fft_peak_bpm(series: np.ndarray, fps: float, search_band: BandSpec) -> np.ndarray:
+    """Frequency of the largest magnitude-spectrum peak inside the band, in
+    bpm, of each series along the last axis of a stack sampled at fps.
 
     The peak location is refined by parabolic interpolation across the
-    neighbouring DFT bins.
+    neighbouring DFT bins, unless the peak is the first or last bin.
     """
-    s = signal.series
-    if len(s) < 2:
+    n = np.shape(series)[-1]
+    if n < 2:
         raise ValueError("series must have at least 2 samples")
-    spectrum = np.abs(np.fft.rfft(s))
-    inside = search_band.bins(np.fft.rfftfreq(len(s), 1.0 / signal.fps))
-    k = inside.start + np.argmax(spectrum[inside])
-    offset = 0.0
-    if 0 < k < len(spectrum) - 1:
-        y0, y1, y2 = spectrum[k - 1], spectrum[k], spectrum[k + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom != 0:
-            offset = 0.5 * (y0 - y2) / denom
-    return 60.0 * (k + offset) * signal.fps / len(s)
+    spectrum = np.abs(np.fft.rfft(series))
+    inside = search_band.bins(np.fft.rfftfreq(n, 1.0 / fps))
+    k = inside.start + np.argmax(spectrum[..., inside], axis=-1, keepdims=True)
+    last = spectrum.shape[-1] - 1
+    # an edge peak's missing neighbour is clamped onto it; its offset stays 0
+    y0, y1, y2 = (np.take_along_axis(spectrum, np.clip(k + d, 0, last), axis=-1)
+                  for d in (-1, 0, 1))
+    denom = y0 - 2.0 * y1 + y2
+    refine = (0 < k) & (k < last) & (denom != 0)
+    offset = np.divide(0.5 * (y0 - y2), denom, out=np.zeros_like(denom), where=refine)
+    return (60.0 * (k + offset) * fps / n)[..., 0]
 
 
-def zcr_hz(signal: LevelSignal) -> float:
-    """Zero-crossing rate of the mean-removed series, in Hz.
+def zcr_hz(series: np.ndarray, fps: float) -> np.ndarray:
+    """Zero-crossing rate of each mean-removed series along the last axis of
+    a stack sampled at fps, in Hz.
 
-    Counts strict sign changes (zero samples inherit the previous sign) and
-    divides by twice the duration; for a pure sinusoid this estimates its
-    fundamental frequency.
+    Counts strict sign changes (zero samples inherit the previous sign, or
+    none before the first nonzero sample) and divides by twice the
+    duration; for a pure sinusoid this estimates its fundamental frequency.
     """
-    s = np.asarray(signal.series, dtype=np.float64)
-    if len(s) < 2:
+    s = np.asarray(series, dtype=np.float64)
+    n = s.shape[-1]
+    if n < 2:
         raise ValueError("series must have at least 2 samples")
-    x = s - s.mean()
-    signs = np.sign(x)
-    nonzero = signs != 0
-    if not nonzero.any():
-        return 0.0
-    idx = np.where(nonzero, np.arange(len(x)), 0)
-    np.maximum.accumulate(idx, out=idx)
-    filled = signs[idx]
-    filled[: np.argmax(nonzero)] = 0.0
-    changes = int(np.sum(filled[1:] * filled[:-1] < 0))
-    return changes / (2.0 * signal.duration_s)
+    signs = np.sign(s - s.mean(axis=-1, keepdims=True))
+    # forward fill from index 0, whose sign is 0 ahead of the first nonzero sample
+    idx = np.where(signs != 0, np.arange(n), 0)
+    np.maximum.accumulate(idx, axis=-1, out=idx)
+    filled = np.take_along_axis(signs, idx, axis=-1)
+    changes = np.count_nonzero(filled[..., 1:] * filled[..., :-1] < 0, axis=-1)
+    return changes / (2.0 * (n / fps))
 
 
 def feature_names(bank: GaborBank) -> list[str]:
@@ -181,15 +162,15 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     """Feature rows for every window of a record.
 
     Features per window: fft_peak_bpm per level (searched inside ``band``)
-    followed by zcr_hz per level, 2 x levels in total.  labels, if given, is
-    a (time_s, bpm) array; each window's label is the mean bpm over its
+    followed by zcr_hz per level, 2 x levels in total, each taken once over
+    the levels x windows stack of level_signals.  labels, if given, is a
+    (time_s, bpm) array; each window's label is the mean bpm over its
     frames, [start, start + length) / fps.
 
-    With alpha = 0 the record is analysed once by level_signals; only the
-    ROI weighting runs per window, and the weighted series of all windows
-    are bandpassed once per level.  alpha != 0 magnifies each window on its
-    own (the band doubles as the magnification passband) and analyses it as
-    a one-window record, so that path decomposes every window.
+    With alpha = 0 the record is analysed once by level_signals.  alpha != 0
+    magnifies each window on its own (the band doubles as the magnification
+    passband) and analyses it as a one-window record, so that path
+    decomposes every window.
 
     An invalid alpha, a record shorter than one window, an ROI beyond the
     record, and a band above Nyquist or with no DCT bin at the window
@@ -208,22 +189,24 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     band.validate(r.fps)
     band.dct_bins(length, r.fps)
     if alpha == 0.0:
-        cut = level_signals(r, bank, band, roi, wspec)
+        starts, series, skips = level_signals(r, bank, band, roi, wspec)
     else:
-        cut = [(start, level_signals(magnify(window, bank, cfg), bank, band, roi, wspec)[0][1])
-               for start, window in windows(r, wspec)]
+        cut = [level_signals(magnify(window, bank, cfg), bank, band, roi)
+               for _, window in windows(r, wspec)]
+        starts = wspec.starts(r.n_frames, r.fps)
+        series = np.concatenate([s for _, s, _ in cut], axis=1)
+        skips = [skip for _, _, (skip,) in cut]
+    feats = np.concatenate([fft_peak_bpm(series, r.fps, band), zcr_hz(series, r.fps)])
     out = []
-    for start, signals in cut:
+    for start, skip, row in zip(starts, skips, feats.T):
         start_s = start / r.fps
-        if isinstance(signals, ValueError):
-            log.warning("skipping window at %.2fs: %s", start_s, signals)
+        if skip is not None:
+            log.warning("skipping window at %.2fs: %s", start_s, skip)
             continue
-        feats = np.array([fft_peak_bpm(s, band) for s in signals]
-                         + [zcr_hz(s) for s in signals])
         label = None
         if labels is not None:
             label = window_label(labels, start_s, (start + length) / r.fps)
-        out.append(FeatureRow(window_start_s=start_s, features=feats, label_bpm=label))
+        out.append(FeatureRow(window_start_s=start_s, features=row, label_bpm=label))
     return out
 
 

@@ -84,6 +84,9 @@ class WindowSpec:
 
     def frames(self, fps: float) -> tuple[int, int]:
         """(window length, shift) in frames, seconds*fps rounded half-up."""
+        # the shift is no longer than the window, so its count is finite too
+        if not np.isfinite(self.length_s * fps):
+            raise ValueError(f"window of {self.length_s}s at {fps} fps has no finite frame count")
         length = int(np.floor(self.length_s * fps + 0.5))
         shift = int(np.floor(self.shift_s * fps + 0.5))
         if length < 2:

@@ -134,16 +134,15 @@ def test_criterion_05_attenuation():
 def test_criterion_06_feature_sanity():
     bank = rm.default_bank()
     r_breath, _ = rm.simulate(breather_scene(0.25, 0.5, duration_s=30.0), seed=6)
-    for s in rm.level_signals(r_breath, bank, RR_BAND, BREATHER_ROI):
-        bpm = rm.fft_peak_bpm(s, RR_BAND)
-        assert abs(bpm - 15.0) <= 0.5, f"level {s.level_index}: {bpm:.2f} bpm not within 15.0 +- 0.5"
+    _, series, _ = rm.level_signals(r_breath, bank, RR_BAND, BREATHER_ROI)
+    for k, bpm in enumerate(rm.fft_peak_bpm(series[:, 0], r_breath.fps, RR_BAND)):
+        assert abs(bpm - 15.0) <= 0.5, f"level {k}: {bpm:.2f} bpm not within 15.0 +- 0.5"
     r_cardiac, _ = rm.simulate(breather_scene(1.2, 0.05, duration_s=30.0), seed=6)
-    for s in rm.level_signals(r_cardiac, bank, HR_BAND, BREATHER_ROI):
-        bpm = rm.fft_peak_bpm(s, HR_BAND)
-        assert abs(bpm - 72.0) <= 0.5, f"level {s.level_index}: {bpm:.2f} bpm not within 72.0 +- 0.5"
+    _, series, _ = rm.level_signals(r_cardiac, bank, HR_BAND, BREATHER_ROI)
+    for k, bpm in enumerate(rm.fft_peak_bpm(series[:, 0], r_cardiac.fps, HR_BAND)):
+        assert abs(bpm - 72.0) <= 0.5, f"level {k}: {bpm:.2f} bpm not within 72.0 +- 0.5"
     t = np.arange(int(20.0 * 30.0)) / 20.0
-    pure = rm.LevelSignal(0, 10.0, np.sin(2 * np.pi * 1.0 * t), 20.0)
-    zcr = rm.zcr_hz(pure)
+    zcr = rm.zcr_hz(np.sin(2 * np.pi * 1.0 * t), 20.0)
     assert abs(zcr - 1.0) <= 0.034, f"zcr {zcr:.4f} Hz not within 1.0 +- 0.034"
     report(6, f"fft peaks 15/72 bpm on every level, zcr(1 Hz) = {zcr:.3f} Hz")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from radarmag import (BandSpec, LevelSignal, MagnifyConfig, Radargram, RangeROI,
+from radarmag import (BandSpec, MagnifyConfig, Radargram, RangeROI,
                       SceneSpec, TargetSpec, WindowSpec, dct_bandpass, decompose,
                       default_bank, feature_names, featurize, fft_peak_bpm, level_signals,
                       magnify, read_features_csv, read_labels_csv, save_radargram, simulate,
@@ -25,74 +25,93 @@ def sinusoid_signal(freq_hz, fps=20.0, duration_s=30.0, amplitude=1.0, noise=0.0
     series = amplitude * np.sin(2 * np.pi * freq_hz * t)
     if noise:
         series = series + noise * np.random.default_rng(seed).standard_normal(len(t))
-    return LevelSignal(level_index=0, wavelength=10.0, series=series, fps=fps)
+    return series
 
 
-class TestLevelSignals:
+def each_row(fn, stack):
+    """fn applied to every series of a stack as a 1-D array, one call each."""
+    return np.array([fn(row) for row in stack.reshape(-1, stack.shape[-1])]).reshape(stack.shape[:-1])
+
+
+class TestLevelSeries:
     def test_breather_dominates_every_level(self):
         r, _ = simulate(breather_scene(0.25, 0.5), seed=0)
         bank = default_bank()
-        signals = level_signals(r, bank, RR_BAND, BREATHER_ROI)
-        assert len(signals) == len(bank)
-        for s in signals:
-            spectrum = np.abs(np.fft.rfft(s.series))
-            freqs = np.fft.rfftfreq(len(s.series), 1.0 / s.fps)
+        starts, series, skips = level_signals(r, bank, RR_BAND, BREATHER_ROI)
+        assert starts == range(1) and skips == [None]
+        assert series.shape == (len(bank), 1, r.n_frames)
+        for s in series[:, 0]:
+            spectrum = np.abs(np.fft.rfft(s))
+            freqs = np.fft.rfftfreq(len(s), 1.0 / r.fps)
             assert freqs[np.argmax(spectrum)] == pytest.approx(0.25, abs=1.0 / 60.0)
 
     def test_zero_radargram_rejected(self):
         r = Radargram(np.zeros((96, 600)), fps=20.0, bin_spacing=0.01)
-        with pytest.raises(ValueError, match="level 0"):
-            level_signals(r, default_bank(), RR_BAND, BREATHER_ROI)
+        _, series, skips = level_signals(r, default_bank(), RR_BAND, BREATHER_ROI)
+        assert skips == ["level 0 (wavelength 75.0) has zero amplitude in ROI"]
+        assert not series.any()
 
     def test_static_scene_has_no_in_band_motion(self):
         scene = SceneSpec(duration_s=30.0, fps=20.0, n_bins=96, bin_spacing=0.01,
                           targets=(TargetSpec("static", 0.48, 1.0),))
         r, _ = simulate(scene, seed=0)
-        for s in level_signals(r, default_bank(), RR_BAND, BREATHER_ROI):
-            assert np.max(np.abs(s.series)) < 1e-6
+        _, series, _ = level_signals(r, default_bank(), RR_BAND, BREATHER_ROI)
+        assert np.max(np.abs(series)) < 1e-6
 
 
 class TestFftPeak:
     def test_quarter_hertz_is_15_bpm(self):
-        assert fft_peak_bpm(sinusoid_signal(0.25), RR_BAND) == pytest.approx(15.0, abs=0.5)
+        assert fft_peak_bpm(sinusoid_signal(0.25), 20.0, RR_BAND) == pytest.approx(15.0, abs=0.5)
 
     def test_1p2_hertz_is_72_bpm(self):
-        assert fft_peak_bpm(sinusoid_signal(1.2), HR_BAND) == pytest.approx(72.0, abs=0.5)
+        assert fft_peak_bpm(sinusoid_signal(1.2), 20.0, HR_BAND) == pytest.approx(72.0, abs=0.5)
 
     def test_larger_peak_wins(self):
         two = sinusoid_signal(0.25)
         weaker = sinusoid_signal(0.4, amplitude=0.5)
-        mixed = LevelSignal(0, 10.0, two.series + weaker.series, two.fps)
-        assert fft_peak_bpm(mixed, RR_BAND) == pytest.approx(15.0, abs=0.5)
+        assert fft_peak_bpm(two + weaker, 20.0, RR_BAND) == pytest.approx(15.0, abs=0.5)
 
     def test_scale_invariance(self):
         s = sinusoid_signal(0.3, noise=0.05)
-        scaled = LevelSignal(0, 10.0, 17.3 * s.series, s.fps)
-        assert fft_peak_bpm(scaled, RR_BAND) == fft_peak_bpm(s, RR_BAND)
+        assert fft_peak_bpm(17.3 * s, 20.0, RR_BAND) == fft_peak_bpm(s, 20.0, RR_BAND)
+        # a levels x windows x n stack is each series on its own, bit for bit,
+        # also at 2 and 3 samples, whose only in-band bin is the edge bin 0
+        band = BandSpec(0.0, 0.7)
+        for n in (2, 3, 600):
+            stack = 17.3 * np.random.default_rng(n).standard_normal((3, 4, n))
+            got = fft_peak_bpm(stack, 20.0, band)
+            assert np.array_equal(got, each_row(lambda row: fft_peak_bpm(row, 20.0, band), stack))
 
     def test_empty_band_rejected(self):
         s = sinusoid_signal(0.25, fps=20.0, duration_s=30.0)
         with pytest.raises(ValueError, match="contains no DFT bins"):
-            fft_peak_bpm(s, BandSpec(0.0001, 0.001))
+            fft_peak_bpm(s, 20.0, BandSpec(0.0001, 0.001))
 
 
 class TestZcr:
     def test_pure_tone(self):
         s = sinusoid_signal(1.0, fps=20.0, duration_s=30.0)
-        assert zcr_hz(s) == pytest.approx(1.0, abs=1.0 / 30.0)
+        assert zcr_hz(s, 20.0) == pytest.approx(1.0, abs=1.0 / 30.0)
 
     def test_constant_series(self):
-        s = LevelSignal(0, 10.0, np.full(600, 2.5), 20.0)
-        assert zcr_hz(s) == 0.0
+        assert zcr_hz(np.full(600, 2.5), 20.0) == 0.0
+        # a levels x windows x n stack is each series on its own, bit for bit,
+        # with an all-zero, a constant and a zero-led zero-mean series in it
+        for n in (2, 3, 600):
+            stack = np.random.default_rng(n).standard_normal((3, 4, n))
+            stack[0, :3] = [np.zeros(n), np.full(n, 2.5), np.resize([0.0, 1.0, -1.0, 0.0], n)]
+            got = zcr_hz(stack, 20.0)
+            assert np.array_equal(got, each_row(lambda row: zcr_hz(row, 20.0), stack))
+            assert got[0, 0] == got[0, 1] == 0.0
 
     def test_noisy_tone_within_15_percent(self):
         s = sinusoid_signal(0.25, noise=0.01, seed=3)
-        assert abs(zcr_hz(s) - 0.25) / 0.25 < 0.15
+        assert abs(zcr_hz(s, 20.0) - 0.25) / 0.25 < 0.15
 
     def test_frequency_sweep_matches_within_resolution(self):
         for f in (0.2, 0.5, 1.3, 2.0):
             s = sinusoid_signal(f, fps=20.0, duration_s=30.0)
-            assert abs(zcr_hz(s) - f) <= 1.0 / 30.0
+            assert abs(zcr_hz(s, 20.0) - f) <= 1.0 / 30.0
 
 
 @pytest.fixture(scope="module")
@@ -203,15 +222,14 @@ def skip_log():
 
 
 def per_window_oracle(r, bank, wspec, band, roi, alpha=0.0):
-    """level_signals on each windows() slice: (start_s, signals or its error) per window."""
+    """level_signals on each windows() slice: (start_s, series, skip) per
+    window, series being levels x 1 x window length."""
     out = []
     for start, window in windows(r, wspec):
-        try:
-            if alpha != 0.0:
-                window = magnify(window, bank, MagnifyConfig(alpha=alpha, band=band))
-            out.append((start / r.fps, level_signals(window, bank, band, roi)))
-        except ValueError as exc:
-            out.append((start / r.fps, exc))
+        if alpha != 0.0:
+            window = magnify(window, bank, MagnifyConfig(alpha=alpha, band=band))
+        _, series, (skip,) = level_signals(window, bank, band, roi)
+        out.append((start / r.fps, series, skip))
     return out
 
 
@@ -229,8 +247,8 @@ def per_row_reference(window, bank, band, roi):
     return out
 
 
-def features_of(signals, band):
-    return np.array([fft_peak_bpm(s, band) for s in signals] + [zcr_hz(s) for s in signals])
+def features_of(series, fps, band):
+    return np.concatenate([fft_peak_bpm(series, fps, band), zcr_hz(series, fps)])
 
 
 def check_featurize_matches_oracle(r, bank, wspec, band, roi, alpha=0.0, atol=1e-12):
@@ -238,12 +256,12 @@ def check_featurize_matches_oracle(r, bank, wspec, band, roi, alpha=0.0, atol=1e
     expected = per_window_oracle(r, bank, wspec, band, roi, alpha)
     with skip_log() as messages:
         rows = featurize(r, bank, wspec, band, roi, alpha=alpha)
-    assert messages == [f"skipping window at {start_s:.2f}s: {got}"
-                        for start_s, got in expected if isinstance(got, ValueError)]
-    kept = [(start_s, got) for start_s, got in expected if not isinstance(got, ValueError)]
+    assert messages == [f"skipping window at {start_s:.2f}s: {skip}"
+                        for start_s, _, skip in expected if skip is not None]
+    kept = [(start_s, series) for start_s, series, skip in expected if skip is None]
     assert [row.window_start_s for row in rows] == [start_s for start_s, _ in kept]
-    for row, (_, signals) in zip(rows, kept):
-        assert np.abs(row.features - features_of(signals, band)).max() <= atol
+    for row, (_, series) in zip(rows, kept):
+        assert np.abs(row.features - features_of(series[:, 0], r.fps, band)).max() <= atol
     return rows
 
 
@@ -294,29 +312,25 @@ class TestRecordLevelFeaturize:
         # roundoff that the window's own unwrap does not.
         r, wspec, band, roi = case
         bank = default_bank()
-        got = level_signals(r, bank, band, roi, wspec)
+        starts, series, skips = level_signals(r, bank, band, roi, wspec)
         expected = per_window_oracle(r, bank, wspec, band, roi)
         # a lone window is the one-window record, bit for bit, and weighting
         # before the bandpass matches bandpassing every ROI row before it
-        for (_, window), (_, oracle) in zip(windows(r, wspec), expected):
-            [(first, alone)] = level_signals(window, bank, band, roi, wspec)
-            assert first == 0
-            if isinstance(oracle, ValueError):
-                assert str(alone) == str(oracle)
-                continue
-            for s, o, ref in zip(alone, oracle, per_row_reference(window, bank, band, roi),
-                                 strict=True):
-                assert np.array_equal(s.series, o.series)
-                assert np.abs(s.series - ref).max() <= 1e-12
+        for (_, window), (_, oracle, skip) in zip(windows(r, wspec), expected):
+            first, alone, alone_skips = level_signals(window, bank, band, roi, wspec)
+            assert first == range(1) and alone_skips == [skip]
+            assert np.array_equal(alone, oracle)
+            if skip is None:
+                for s, ref in zip(oracle[:, 0], per_row_reference(window, bank, band, roi),
+                                  strict=True):
+                    assert np.abs(s - ref).max() <= 1e-12
         # a record shorter than one window has none
-        assert [start / r.fps for start, _ in got] == [start_s for start_s, _ in expected]
-        for (_, signals), (_, oracle) in zip(got, expected):
-            if isinstance(oracle, ValueError):
-                assert str(signals) == str(oracle)
-                continue
-            assert [s.level_index for s in signals] == list(range(len(bank)))
-            for s, o in zip(signals, oracle):
-                assert np.abs(s.series - o.series).max() <= 1e-10
+        assert [start / r.fps for start in starts] == [start_s for start_s, _, _ in expected]
+        assert series.shape == (len(bank), len(starts), wspec.frames(r.fps)[0])
+        assert skips == [skip for _, _, skip in expected]
+        for i, (_, oracle, skip) in enumerate(expected):
+            if skip is None:
+                assert np.abs(series[:, i] - oracle[:, 0]).max() <= 1e-10
 
     @pytest.mark.parametrize("roi", [RangeROI(0, 40), BREATHER_ROI, RangeROI(50, 95)],
                              ids=["bin-0", "breather", "last-bin"])
@@ -346,32 +360,30 @@ class TestRecordLevelFeaturize:
         assert len(rows) == 4
 
     def test_one_decomposition_and_one_unwrap_per_level(self, record, monkeypatch):
-        calls = {"decompose": [], "unwrap_phase": 0, "dct_bandpass": 0}
-        decompose, unwrap = features_module.decompose, features_module.unwrap_phase
-        bandpass = features_module.dct_bandpass
+        calls = {"decompose": []}
+        decompose = features_module.decompose
 
         def counted_decompose(signal, bank):
             calls["decompose"].append(signal.shape)
             return decompose(signal, bank)
 
-        def counted_unwrap(*args, **kwargs):
-            calls["unwrap_phase"] += 1
-            return unwrap(*args, **kwargs)
-
-        def counted_bandpass(*args, **kwargs):
-            calls["dct_bandpass"] += 1
-            return bandpass(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
 
         monkeypatch.setattr(features_module, "decompose", counted_decompose)
-        monkeypatch.setattr(features_module, "unwrap_phase", counted_unwrap)
-        monkeypatch.setattr(features_module, "dct_bandpass", counted_bandpass)
+        for name in ("unwrap_phase", "dct_bandpass", "fft_peak_bpm", "zcr_hz"):
+            monkeypatch.setattr(features_module, name, counted(name, getattr(features_module, name)))
         bank = default_bank()
         rows = featurize(record, bank, WindowSpec(30.0, 5.0), RR_BAND, BREATHER_ROI)
         assert len(rows) == 7
         # ROI rows 34..62 plus the 20-bin radius of the 75-bin kernel on each
-        # side; each level's one bandpass filters all 7 windows
+        # side; each level's one bandpass filters all 7 windows, and each
+        # feature is taken once over every level and window
         assert calls == {"decompose": [(69, record.n_frames)], "unwrap_phase": len(bank),
-                         "dct_bandpass": len(bank)}
+                         "dct_bandpass": len(bank), "fft_peak_bpm": 1, "zcr_hz": 1}
 
     @pytest.mark.parametrize("roi, band, message", [
         (RangeROI(90, 100), RR_BAND, "ROI [90, 100] exceeds 96 bins"),

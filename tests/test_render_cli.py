@@ -60,6 +60,9 @@ def scene_rgrm(tmp_path_factory):
     return path
 
 
+WINDOW_OVERFLOW = "window of 1e+308s at 20.0 fps has no finite frame count"
+
+
 class TestCli:
     def test_simulate_magnify_render_features_train_eval(self, tmp_path, capsys):
         scene = "configs/validation_scene.cfg"
@@ -153,7 +156,9 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--max-depth", "-1"], ["--min-leaf", "0"], ["--min-leaf", "-3"],
         ["--model", "ols", "--ridge", "nan"], ["--model", "ols", "--ridge", "inf"],
-    ], ids=["max-depth=-1", "min-leaf=0", "min-leaf=-3", "ols-ridge=nan", "ols-ridge=inf"])
+        ["--seed", "9223372036854775808"],
+    ], ids=["max-depth=-1", "min-leaf=0", "min-leaf=-3", "ols-ridge=nan", "ols-ridge=inf",
+            "seed=2**63"])
     def test_bad_train_hyperparameter_is_user_error(self, tmp_path, flags):
         feature_csv(tmp_path / "f.csv", N_FEATURES, np.random.default_rng(0))
         model = tmp_path / "m.bin"
@@ -204,10 +209,17 @@ class TestCli:
          "non-finite coefficient at level 3 "),
         (1e160, ["features", "-o", "out", "--window", "30:5", "--roi", "34:62"],
          "level 0 (wavelength 75.0): ROI power overflows float64"),
-    ], ids=["magnify", "features-alpha-2", "features"])
+        (1.0, ["magnify", "out", "--alpha", "2", "--window", "1e308:1"], WINDOW_OVERFLOW),
+        (1.0, ["features", "-o", "out", "--window", "1e308:1", "--roi", "34:62"], WINDOW_OVERFLOW),
+        (1.0, ["magnify", "out", "--alpha", "2", "--window", "1e308:1e308"], WINDOW_OVERFLOW),
+        (1.0, ["features", "-o", "out", "--window", "1e308:1e308", "--roi", "34:62"],
+         WINDOW_OVERFLOW),
+    ], ids=["magnify", "features-alpha-2", "features", "magnify-window", "features-window",
+            "magnify-window-shift", "features-window-shift"])
     def test_overflowing_record_is_one_line(self, tmp_path, caplog, scale, argv, message):
         # the breather of tests/scenes.py scaled until its Gabor coefficients
-        # (1e306) or their squares (1e160) overflow float64
+        # (1e306) or their squares (1e160) overflow float64, or as it is with a
+        # window whose frame count does
         r, _ = simulate(breather_scene(0.25, 0.5), seed=1)
         path = str(tmp_path / "scaled.rgrm")
         save_radargram(r.with_data(r.data * scale), path)
