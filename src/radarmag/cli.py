@@ -45,6 +45,18 @@ _roi = _pair("roi", int, RangeROI)
 _clip = _pair("clip", float, lambda lo, hi: (lo, hi))
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer in [0, 2**63), which the model
+    file stores as an int64."""
+    try:
+        seed = int(text)
+        if 0 <= seed < 2**63:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [0, 2**63)")
+
+
 class UsageError(ValueError):
     """A malformed command line; reported as a user error (exit 1)."""
 
@@ -68,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="render a synthetic scene config to a radargram")
     p.add_argument("scene", help="scene config file (key=value plus [target] blocks)")
-    p.add_argument("--seed", type=int, default=0, help="noise RNG seed (integer)")
+    p.add_argument("--seed", type=_seed, default=0, help="noise RNG seed (integer)")
     p.add_argument("-o", "--output", required=True, help="output radargram path")
     p.add_argument("--truth", help="also write ground-truth displacement traces (CSV, bins)")
     p.add_argument("--format", choices=("binary", "csv"), default="binary",
@@ -102,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("rf", "ols"), default="rf", help="model kind (default rf)")
     p.add_argument("-o", "--output", required=True, help="output model file")
     p.add_argument("--folds", type=int, default=10, help="cross-validation folds (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="shuffle and forest seed (integer)")
+    p.add_argument("--seed", type=_seed, default=0, help="shuffle and forest seed (integer)")
     p.add_argument("--report", help="write the cross-validation report (text) here")
     p.add_argument("--trees", type=int, default=100, help="rf: number of trees (default 100)")
     p.add_argument("--max-depth", type=int, default=12, help="rf: maximum tree depth (default 12)")
@@ -163,10 +175,6 @@ def cmd_features(args) -> int:
 
 
 def cmd_train(args) -> int:
-    # the model file holds the forest seed as an int64; the fold seeds
-    # seed + i of cross-validation are never written
-    if args.model == "rf" and not 0 <= args.seed < 2**63:
-        raise ValueError(f"forest seed {args.seed} is outside [0, 2**63)")
     rows, _ = read_features_csv(args.features)
     data = Dataset.from_rows(rows)
     if args.model == "rf":

@@ -32,29 +32,23 @@ class FeatureRow:
 
 
 def _analysis_rows(roi: RangeROI, radius: int, n_bins: int) -> slice:
-    """The ROI widened by radius bins on each side, clamped to the record and
-    grown to decompose's minimum of 2 * radius + 1 rows where the record has them.
+    """The ROI widened by radius bins on each side, clamped to the record.
 
-    A kernel reaches radius bins, so the ROI rows of a pyramid of these
-    rows equal those of the whole record's pyramid.
+    A kernel reaches radius bins and decompose zero-pads any number of rows,
+    so the ROI rows of their pyramid equal those of the record's pyramid.
     """
-    size = 2 * radius + 1
-    lo = max(roi.first_bin - radius, 0)
-    hi = min(max(roi.last_bin + 1 + radius, lo + size), n_bins)
-    return slice(max(min(lo, hi - size), 0), hi)
+    return slice(max(roi.first_bin - radius, 0), min(roi.last_bin + 1 + radius, n_bins))
 
 
 def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
-                  wspec: WindowSpec | None = None
-                  ) -> tuple[range, np.ndarray, list[str | None]]:
+                  wspec: WindowSpec) -> tuple[np.ndarray, list[str | None]]:
     """Bandpassed phase series of every bank level and window of a record,
-    as (starts, series, skips).
+    as (series, skips).
 
-    starts is wspec.starts, or range(1) without wspec: then the whole
-    record is one window.  series is a float64 levels x windows x window
-    length array; series[k, i] belongs to level k and window i.  skips[i]
-    is None, or why window i is skipped: zero ROI amplitude at some level,
-    from which on its series is zero.
+    The windows are those of wspec.starts.  series is a float64 levels x
+    windows x window length array; series[k, i] belongs to level k and
+    window i.  skips[i] is None, or why window i is skipped: zero ROI
+    amplitude at some level, from which on its series is zero.
 
     Per level, coefficient phases over the ROI are unwrapped along slow
     time, averaged across ROI bins weighted by the window-mean squared
@@ -69,10 +63,7 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
     """
     roi.validate(r.n_bins)
     band.validate(r.fps)
-    if wspec is None:
-        length, starts = r.n_frames, range(1)
-    else:
-        length, starts = wspec.frames(r.fps)[0], wspec.starts(r.n_frames, r.fps)
+    length, starts = wspec.frames(r.fps)[0], wspec.starts(r.n_frames, r.fps)
     rows = _analysis_rows(roi, bank.max_radius, r.n_bins)
     pyr = decompose(r.data[rows], bank)
     roi_rows = slice(roi.first_bin - rows.start, roi.last_bin + 1 - rows.start)
@@ -104,7 +95,7 @@ def level_signals(r: Radargram, bank: GaborBank, band: BandSpec, roi: RangeROI,
         kept = [i for i, skip in enumerate(skips) if skip is None]
         if kept:
             series[k, kept] = dct_bandpass(series[k, kept], r.fps, band)
-    return starts, series, skips
+    return series, skips
 
 
 def fft_peak_bpm(series: np.ndarray, fps: float, search_band: BandSpec) -> np.ndarray:
@@ -169,8 +160,8 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
 
     With alpha = 0 the record is analysed once by level_signals.  alpha != 0
     magnifies each window on its own (the band doubles as the magnification
-    passband) and analyses it as a one-window record, so that path
-    decomposes every window.
+    passband) and analyses it with the same wspec, of which it holds exactly
+    one window, so that path decomposes every window.
 
     An invalid alpha, a record shorter than one window, an ROI beyond the
     record, and a band above Nyquist or with no DCT bin at the window
@@ -188,14 +179,14 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     roi.validate(r.n_bins)
     band.validate(r.fps)
     band.dct_bins(length, r.fps)
+    starts = wspec.starts(r.n_frames, r.fps)
     if alpha == 0.0:
-        starts, series, skips = level_signals(r, bank, band, roi, wspec)
+        series, skips = level_signals(r, bank, band, roi, wspec)
     else:
-        cut = [level_signals(magnify(window, bank, cfg), bank, band, roi)
+        cut = [level_signals(magnify(window, bank, cfg), bank, band, roi, wspec)
                for _, window in windows(r, wspec)]
-        starts = wspec.starts(r.n_frames, r.fps)
-        series = np.concatenate([s for _, s, _ in cut], axis=1)
-        skips = [skip for _, _, (skip,) in cut]
+        series = np.concatenate([s for s, _ in cut], axis=1)
+        skips = [skip for _, (skip,) in cut]
     feats = np.concatenate([fft_peak_bpm(series, r.fps, band), zcr_hz(series, r.fps)])
     out = []
     for start, skip, row in zip(starts, skips, feats.T):

@@ -214,11 +214,9 @@ def _analysis_input(signal: np.ndarray, bank: GaborBank):
         raise ValueError(f"expected 1-D profile or 2-D radargram matrix, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("signal contains non-finite samples")
-    n = x.shape[0]
-    support = 2 * bank.max_radius + 1
-    if n < support:
-        raise ValueError(f"signal length {n} shorter than largest kernel support {support}")
-    m = bank.transform_length(n)
+    if x.shape[0] == 0:
+        raise ValueError("signal has no samples")
+    m = bank.transform_length(x.shape[0])
     return x, m, sfft.rfft(x, n=m, axis=0, workers=-1)
 
 

@@ -84,8 +84,6 @@ def unwrap_phase(series: np.ndarray) -> np.ndarray:
     p = np.asarray(series, dtype=np.float64)
     if not np.isfinite(p).all():
         raise ValueError("phase series contains non-finite samples")
-    if p.shape[-1] < 2:
-        return p.copy()
     out = np.empty_like(p)
     first = p[..., :1]
     d = out[..., 1:]

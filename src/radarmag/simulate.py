@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-from scipy.signal import hilbert
 
 from .radargram import FormatError, Radargram, RangeROI, config_number, read_config
 
@@ -147,6 +146,8 @@ def estimate_displacement(r: Radargram, roi: RangeROI) -> np.ndarray:
     roi.validate(r.n_bins)
     if roi.n_bins < 3:
         raise ValueError("ROI must span at least 3 bins for parabolic interpolation")
+    # imported here, not at module level: scipy.signal loads scipy.stats and more
+    from scipy.signal import hilbert
     envelope_sq = np.abs(hilbert(r.data, axis=0)) ** 2
     segment = envelope_sq[roi.slice]
     if segment.max() <= 0 or np.ptp(segment) == 0:

@@ -40,16 +40,21 @@ def magnify_bank() -> GaborBank:
 
 
 def breather_scene(freq_hz, amplitude_bins, duration_s=60.0, fps=20.0,
-                   n_bins=96, extra_targets=(), noise_sigma=0.0) -> SceneSpec:
-    """Single oscillating subject at mid-range, vital-sign style."""
+                   n_bins=96, extra_targets=(), noise_sigma=0.0, t0_offset=0.0) -> SceneSpec:
+    """Single oscillating subject at 0.48 m, vital-sign style: mid-range of
+    the default 96 bins, bin 15 of a 30-bin record with t0_offset = 0.33."""
     targets = (TargetSpec("sinusoid", 0.48, 1.0, amplitude_bins=amplitude_bins,
                           freq_hz=freq_hz),) + tuple(extra_targets)
     return SceneSpec(duration_s=duration_s, fps=fps, n_bins=n_bins,
                      bin_spacing=0.01, targets=targets, noise_sigma=noise_sigma,
-                     pulse_sigma_bins=3.0, pulse_carrier_bins=6.0)
+                     t0_offset=t0_offset, pulse_sigma_bins=3.0, pulse_carrier_bins=6.0)
 
 
 BREATHER_ROI = RangeROI(34, 62)
+# The breather in a 30-bin record, narrower than the default bank's widest
+# kernel (41 bins)
+NARROW_SCENE = breather_scene(0.25, 0.5, n_bins=30, t0_offset=0.33)
+NARROW_ROI = RangeROI(10, 20)
 
 
 def displacement_p2p(r, roi=TARGET_ROI) -> float:

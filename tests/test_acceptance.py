@@ -134,11 +134,12 @@ def test_criterion_05_attenuation():
 def test_criterion_06_feature_sanity():
     bank = rm.default_bank()
     r_breath, _ = rm.simulate(breather_scene(0.25, 0.5, duration_s=30.0), seed=6)
-    _, series, _ = rm.level_signals(r_breath, bank, RR_BAND, BREATHER_ROI)
+    whole = rm.WindowSpec(30.0, 30.0)
+    series, _ = rm.level_signals(r_breath, bank, RR_BAND, BREATHER_ROI, whole)
     for k, bpm in enumerate(rm.fft_peak_bpm(series[:, 0], r_breath.fps, RR_BAND)):
         assert abs(bpm - 15.0) <= 0.5, f"level {k}: {bpm:.2f} bpm not within 15.0 +- 0.5"
     r_cardiac, _ = rm.simulate(breather_scene(1.2, 0.05, duration_s=30.0), seed=6)
-    _, series, _ = rm.level_signals(r_cardiac, bank, HR_BAND, BREATHER_ROI)
+    series, _ = rm.level_signals(r_cardiac, bank, HR_BAND, BREATHER_ROI, whole)
     for k, bpm in enumerate(rm.fft_peak_bpm(series[:, 0], r_cardiac.fps, HR_BAND)):
         assert abs(bpm - 72.0) <= 0.5, f"level {k}: {bpm:.2f} bpm not within 72.0 +- 0.5"
     t = np.arange(int(20.0 * 30.0)) / 20.0

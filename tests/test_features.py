@@ -14,7 +14,7 @@ from radarmag import (BandSpec, MagnifyConfig, Radargram, RangeROI,
 from radarmag import features as features_module
 from radarmag.cli import main
 
-from scenes import BREATHER_ROI, breather_scene
+from scenes import BREATHER_ROI, NARROW_ROI, NARROW_SCENE, breather_scene
 
 RR_BAND = BandSpec(0.1, 0.7)
 HR_BAND = BandSpec(0.7, 3.0)
@@ -28,6 +28,11 @@ def sinusoid_signal(freq_hz, fps=20.0, duration_s=30.0, amplitude=1.0, noise=0.0
     return series
 
 
+def whole(r):
+    """The window spec whose one window is the whole record."""
+    return WindowSpec(r.duration_s, r.duration_s)
+
+
 def each_row(fn, stack):
     """fn applied to every series of a stack as a 1-D array, one call each."""
     return np.array([fn(row) for row in stack.reshape(-1, stack.shape[-1])]).reshape(stack.shape[:-1])
@@ -37,8 +42,8 @@ class TestLevelSeries:
     def test_breather_dominates_every_level(self):
         r, _ = simulate(breather_scene(0.25, 0.5), seed=0)
         bank = default_bank()
-        starts, series, skips = level_signals(r, bank, RR_BAND, BREATHER_ROI)
-        assert starts == range(1) and skips == [None]
+        series, skips = level_signals(r, bank, RR_BAND, BREATHER_ROI, whole(r))
+        assert skips == [None]
         assert series.shape == (len(bank), 1, r.n_frames)
         for s in series[:, 0]:
             spectrum = np.abs(np.fft.rfft(s))
@@ -47,7 +52,7 @@ class TestLevelSeries:
 
     def test_zero_radargram_rejected(self):
         r = Radargram(np.zeros((96, 600)), fps=20.0, bin_spacing=0.01)
-        _, series, skips = level_signals(r, default_bank(), RR_BAND, BREATHER_ROI)
+        series, skips = level_signals(r, default_bank(), RR_BAND, BREATHER_ROI, whole(r))
         assert skips == ["level 0 (wavelength 75.0) has zero amplitude in ROI"]
         assert not series.any()
 
@@ -55,7 +60,7 @@ class TestLevelSeries:
         scene = SceneSpec(duration_s=30.0, fps=20.0, n_bins=96, bin_spacing=0.01,
                           targets=(TargetSpec("static", 0.48, 1.0),))
         r, _ = simulate(scene, seed=0)
-        _, series, _ = level_signals(r, default_bank(), RR_BAND, BREATHER_ROI)
+        series, _ = level_signals(r, default_bank(), RR_BAND, BREATHER_ROI, whole(r))
         assert np.max(np.abs(series)) < 1e-6
 
 
@@ -123,9 +128,11 @@ def record():
 class TestFeaturize:
     def test_seven_windows_and_feature_length(self, record):
         bank = default_bank()
-        for alpha in (0.0, 1.0):
-            rows = featurize(record, bank, WindowSpec(30.0, 5.0), RR_BAND, BREATHER_ROI,
-                             alpha=alpha)
+        # also a 30-bin record, narrower than the widest kernel
+        narrow, _ = simulate(NARROW_SCENE, seed=1)
+        for r, roi, alpha in [(record, BREATHER_ROI, 0.0), (record, BREATHER_ROI, 1.0),
+                              (narrow, NARROW_ROI, 0.0), (narrow, NARROW_ROI, 1.0)]:
+            rows = featurize(r, bank, WindowSpec(30.0, 5.0), RR_BAND, roi, alpha=alpha)
             assert len(rows) == 7
             for row in rows:
                 assert len(row.features) == 2 * len(bank)
@@ -228,7 +235,7 @@ def per_window_oracle(r, bank, wspec, band, roi, alpha=0.0):
     for start, window in windows(r, wspec):
         if alpha != 0.0:
             window = magnify(window, bank, MagnifyConfig(alpha=alpha, band=band))
-        _, series, (skip,) = level_signals(window, bank, band, roi)
+        series, (skip,) = level_signals(window, bank, band, roi, wspec)
         out.append((start / r.fps, series, skip))
     return out
 
@@ -312,14 +319,11 @@ class TestRecordLevelFeaturize:
         # roundoff that the window's own unwrap does not.
         r, wspec, band, roi = case
         bank = default_bank()
-        starts, series, skips = level_signals(r, bank, band, roi, wspec)
+        series, skips = level_signals(r, bank, band, roi, wspec)
+        starts = wspec.starts(r.n_frames, r.fps)
         expected = per_window_oracle(r, bank, wspec, band, roi)
-        # a lone window is the one-window record, bit for bit, and weighting
-        # before the bandpass matches bandpassing every ROI row before it
+        # weighting before the bandpass matches bandpassing every ROI row before it
         for (_, window), (_, oracle, skip) in zip(windows(r, wspec), expected):
-            first, alone, alone_skips = level_signals(window, bank, band, roi, wspec)
-            assert first == range(1) and alone_skips == [skip]
-            assert np.array_equal(alone, oracle)
             if skip is None:
                 for s, ref in zip(oracle[:, 0], per_row_reference(window, bank, band, roi),
                                   strict=True):

@@ -12,7 +12,7 @@ from radarmag.gabor import map_levels
 BANK = default_bank()
 SUPPORT = 2 * BANK.max_radius + 1
 samples = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-profiles = st.integers(SUPPORT, 3 * SUPPORT).flatmap(
+profiles = st.integers(1, 3 * SUPPORT).flatmap(
     lambda n: arrays(np.float64, n, elements=samples))
 
 
@@ -144,10 +144,11 @@ class TestDecompose:
         assert all(level.base is base for level in pyr.levels)
         assert base.shape == (len(BANK) * n + m - n,) + shape[1:]
 
-    def test_too_short_signal_rejected(self):
-        bank = default_bank()
-        with pytest.raises(ValueError):
-            decompose(np.zeros(2 * bank.max_radius), bank)
+    def test_empty_signal_rejected(self):
+        # any other length is zero-padded, so only a signal without samples fails
+        for shape in [(0,), (0, 3)]:
+            with pytest.raises(ValueError, match="signal has no samples"):
+                decompose(np.zeros(shape), BANK)
 
     def test_linearity(self):
         bank = default_bank()
@@ -163,10 +164,14 @@ class TestDecompose:
     def test_fft_matches_direct_convolution(self):
         bank = default_bank()
         rng = np.random.default_rng(2)
-        for _ in range(5):
-            profile = rng.standard_normal(256)
-            fast = decompose(profile, bank)
-            slow = decompose_direct(profile, bank)
+        radius = bank.max_radius
+        # also profiles and matrices shorter than the widest kernel
+        shapes = [(256,)] * 5 + [(n,) + frames for n in (1, 2, radius, 2 * radius)
+                                 for frames in ((), (3,))]
+        for shape in shapes:
+            signal = rng.standard_normal(shape)
+            fast = decompose(signal, bank)
+            slow = decompose_direct(signal, bank)
             for lf, ls in zip(fast.levels, slow.levels):
                 assert np.max(np.abs(lf - ls)) < 1e-10
 

@@ -7,7 +7,7 @@ from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
                       dct_bandpass, decompose, global_magnify, magnify,
                       magnify_windowed, reconstruct, simulate, unwrap_phase)
 
-from scenes import (SCENE_BAND, STATIC_SLICE, TRACK_SLICE, displacement_p2p,
+from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TRACK_SLICE, displacement_p2p,
                     magnify_bank, validation_scene)
 
 
@@ -88,6 +88,12 @@ class TestUnwrapPhase:
     def test_smooth_ramp_unchanged(self):
         ramp = np.arange(0.0, 2.0, 0.1)
         assert np.allclose(unwrap_phase(ramp), ramp, atol=1e-12)
+        # fewer than two samples: the same values, in a new float64 array
+        for shape in [(0,), (1,), (3, 0), (3, 1), (2, 2, 1)]:
+            p = np.random.default_rng(0).uniform(-np.pi, np.pi, shape)
+            out = unwrap_phase(p)
+            assert out.dtype == np.float64 and np.array_equal(out, p)
+            assert not np.shares_memory(out, p)
 
     def test_wrapped_ramp_recovered(self):
         ramp = 0.3 * np.arange(1000)
@@ -109,9 +115,12 @@ def scene_data():
 class TestMagnify:
     def test_alpha_zero_is_bitwise_reconstruction(self, scene_data):
         bank = magnify_bank()
-        out = magnify(scene_data, bank, MagnifyConfig(alpha=0.0, band=SCENE_BAND))
-        reference = reconstruct(decompose(scene_data.data, bank))
-        assert np.array_equal(out.data, reference)
+        # also a 30-bin record, narrower than the bank's widest kernel (215 bins)
+        narrow, _ = simulate(NARROW_SCENE, seed=0)
+        for r, band in [(scene_data, SCENE_BAND), (narrow, BandSpec(0.1, 0.7))]:
+            out = magnify(r, bank, MagnifyConfig(alpha=0.0, band=band))
+            reference = reconstruct(decompose(r.data, bank))
+            assert np.array_equal(out.data, reference)
 
     def test_metadata_preserved(self, scene_data):
         out = magnify(scene_data, magnify_bank(), MagnifyConfig(alpha=2.0, band=SCENE_BAND))

@@ -156,9 +156,9 @@ class TestCli:
     @pytest.mark.parametrize("flags", [
         ["--max-depth", "-1"], ["--min-leaf", "0"], ["--min-leaf", "-3"],
         ["--model", "ols", "--ridge", "nan"], ["--model", "ols", "--ridge", "inf"],
-        ["--seed", "9223372036854775808"],
+        ["--seed", "9223372036854775808"], ["--model", "ols", "--seed", "-1"],
     ], ids=["max-depth=-1", "min-leaf=0", "min-leaf=-3", "ols-ridge=nan", "ols-ridge=inf",
-            "seed=2**63"])
+            "seed=2**63", "ols-seed=-1"])
     def test_bad_train_hyperparameter_is_user_error(self, tmp_path, flags):
         feature_csv(tmp_path / "f.csv", N_FEATURES, np.random.default_rng(0))
         model = tmp_path / "m.bin"
@@ -237,7 +237,8 @@ class TestCli:
         ["train", "f.csv", "-o", "m.bin", "--folds", "ten"],
         ["eval", "m.bin"],
         ["render", "a.rgrm", "b.ppm", "--clip", "x:y"],
-    ], ids=lambda argv: argv[0])
+        ["simulate", "configs/validation_scene.cfg", "-o", "x.rgrm", "--seed", "-1"],
+    ], ids=["simulate", "magnify", "features", "train", "eval", "render", "simulate-seed=-1"])
     def test_malformed_flag_is_user_error(self, argv, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
