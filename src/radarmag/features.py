@@ -247,12 +247,18 @@ def write_features_csv(rows: list[FeatureRow], names: list[str], path: str) -> N
 
 
 def read_features_csv(path: str) -> tuple[list[FeatureRow], list[str]]:
-    """Inverse of write_features_csv: at least one row, every cell a finite
-    number except an empty label."""
+    """Inverse of write_features_csv: at least one row and one feature
+    column, no repeated column name, and every cell a finite number except
+    an empty label."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["window_start_s", "label_bpm"]:
             raise ValueError(f"{path}: not a feature CSV (header {header[:2]})")
+        if len(header) == 2:
+            raise ValueError(f"{path}: no feature columns")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise ValueError(f"{path}: repeated column {repeated[0]!r}")
         rows = []
         for lineno, line in enumerate(fh, 2):
             parts = line.strip().split(",")

@@ -140,10 +140,6 @@ class Pyramid:
         if len({lev.shape for lev in self.levels}) != 1:
             raise ValueError(f"level shapes {[lev.shape for lev in self.levels]} differ")
 
-    @property
-    def source_len(self) -> int:
-        return self.levels[0].shape[0]
-
 
 def make_bank(wavelengths=DEFAULT_WAVELENGTHS, bandwidth_divisor=DEFAULT_BANDWIDTH_DIVISOR,
               sigmas=None) -> GaborBank:
@@ -179,13 +175,12 @@ def load_bank_config(path: str) -> GaborBank:
     """Build a bank from a key=value config file.
 
     Keys: ``wavelengths`` (comma list) and ``bandwidth_divisor``; or
-    explicit ``level = wavelength:sigma`` lines which take precedence over
-    the divisor rule.
+    explicit ``level = wavelength:sigma`` lines, the one repeatable key,
+    which exclude both.
     """
-    wavelengths = None
+    wavelengths = divisor = None
     levels = []
-    divisor = DEFAULT_BANDWIDTH_DIVISOR
-    for lineno, key, value in read_config(path):
+    for lineno, key, value in read_config(path, repeatable=("level",)):
         if key == "wavelengths":
             wavelengths = [config_number(path, lineno, key, v) for v in value.split(",")]
         elif key == "level":
@@ -198,17 +193,21 @@ def load_bank_config(path: str) -> GaborBank:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
     sigmas = None
     if levels:
+        if wavelengths is not None or divisor is not None:
+            raise FormatError(f"{path}: 'level' entries exclude 'wavelengths' and 'bandwidth_divisor'")
         wavelengths, sigmas = [w for w, _ in levels], [s for _, s in levels]
     elif wavelengths is None:
         raise FormatError(f"{path}: config must define 'wavelengths' or 'level' entries")
     try:
-        return make_bank(wavelengths, bandwidth_divisor=divisor, sigmas=sigmas)
+        return make_bank(wavelengths, sigmas=sigmas,
+                         bandwidth_divisor=DEFAULT_BANDWIDTH_DIVISOR if divisor is None else divisor)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def _analysis_input(signal: np.ndarray, bank: GaborBank):
-    """Validated float64 signal plus its transform length and Hermitian half spectrum."""
+    """Validated float64 signal, its Hermitian half spectrum, and the bank's
+    responses at its transform length."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected 1-D profile or 2-D radargram matrix, got shape {x.shape}")
@@ -216,8 +215,8 @@ def _analysis_input(signal: np.ndarray, bank: GaborBank):
         raise ValueError("signal contains non-finite samples")
     if x.shape[0] == 0:
         raise ValueError("signal has no samples")
-    m = bank.transform_length(x.shape[0])
-    return x, m, sfft.rfft(x, n=m, axis=0, workers=-1)
+    psis = bank.freq_responses(bank.transform_length(x.shape[0]))
+    return x, sfft.rfft(x, n=psis.shape[1], axis=0, workers=-1), psis
 
 
 def _column(v: np.ndarray, ndim: int) -> np.ndarray:
@@ -239,42 +238,36 @@ def _analyze_level(half: np.ndarray, psi: np.ndarray, buf: np.ndarray) -> None:
     sfft.ifft(buf, axis=0, overwrite_x=True, workers=-1)
 
 
-class _Synthesis:
-    """Accumulates levels into the Hermitian half of the synthesis spectrum.
+def _synthesize(psis: np.ndarray, n: int, frames: tuple, fill) -> np.ndarray:
+    """Collapse the levels that fill(k, buf) writes into rows [:n] of an
+    m-row buffer back to an n-row real signal.
 
     Each level is zero-padded, transformed, filtered again by its own
     kernel, and added together with its conjugate mirror, so the sum is the
-    half spectrum of a real signal.  result() divides once by the
-    symmetrized aggregate response N + N(-xi), floored at
-    RESPONSE_FLOOR_RATIO of its maximum so uncovered frequencies are
-    attenuated instead of amplified.
+    half spectrum of a real signal.  It is divided once by the symmetrized
+    aggregate response N + N(-xi), floored at RESPONSE_FLOOR_RATIO of its
+    maximum so uncovered frequencies are attenuated instead of amplified.
     """
-
-    def __init__(self, psis: np.ndarray, n: int, frames: tuple):
-        self.psis, self.n = psis, n
-        m = psis.shape[1]
-        self.acc = np.zeros((m // 2 + 1,) + frames, dtype=np.complex128)
-
-    def add(self, buf: np.ndarray, k: int) -> None:
-        """Add level k held in rows [:n] of buf; buf is overwritten."""
-        m, h = buf.shape[0], self.acc.shape[0]
-        buf[self.n :] = 0.0
+    m = psis.shape[1]
+    h = m // 2 + 1
+    acc = np.zeros((h,) + frames, dtype=np.complex128)
+    buf = np.empty((m,) + frames, dtype=np.complex128)
+    for k, psi in enumerate(psis):
+        fill(k, buf)
+        buf[n:] = 0.0
         sfft.fft(buf, axis=0, overwrite_x=True, workers=-1)
-        buf *= _column(self.psis[k], buf.ndim)
-        self.acc += buf[:h]
-        self.acc[0] += np.conj(buf[0])
+        buf *= _column(psi, buf.ndim)
+        acc += buf[:h]
+        acc[0] += np.conj(buf[0])
         # value at -xi lives at index (m - j) % m
         mirror = buf[m - h + 1 :]
-        self.acc[1:] += np.conjugate(mirror, out=mirror)[::-1]
-
-    def result(self) -> np.ndarray:
-        m, h = self.psis.shape[1], self.acc.shape[0]
-        response = np.sum(np.abs(self.psis) ** 2, axis=0)
-        response = response + np.roll(response[::-1], 1)
-        floor = RESPONSE_FLOOR_RATIO * response.max()
-        self.acc /= _column(np.maximum(response[:h], floor), self.acc.ndim)
-        out = sfft.irfft(self.acc, m, axis=0, overwrite_x=True, workers=-1)
-        return out[: self.n].copy()
+        acc[1:] += np.conjugate(mirror, out=mirror)[::-1]
+    response = np.sum(np.abs(psis) ** 2, axis=0)
+    response = response + np.roll(response[::-1], 1)
+    floor = RESPONSE_FLOOR_RATIO * response.max()
+    acc /= _column(np.maximum(response[:h], floor), acc.ndim)
+    out = sfft.irfft(acc, m, axis=0, overwrite_x=True, workers=-1)
+    return out[:n].copy()
 
 
 def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
@@ -283,9 +276,8 @@ def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
     Returns the same-size central part of the linear convolution.  It runs
     in the frequency domain and matches direct convolution to ~1e-13.
     """
-    x, m, half = _analysis_input(signal, bank)
-    n = x.shape[0]
-    psis = bank.freq_responses(m)
+    x, half, psis = _analysis_input(signal, bank)
+    n, m = x.shape[0], psis.shape[1]
     # Level k is formed in rows [k*n, k*n + m) of one buffer and keeps rows
     # [k*n, (k+1)*n); its m - n extra rows belong to later levels, which
     # are written after it.
@@ -299,22 +291,21 @@ def map_levels(signal: np.ndarray, bank: GaborBank, op) -> np.ndarray:
     """Analyse, modify and resynthesize a signal one pyramid level at a time.
 
     For each level k, op(k, level) receives the complex coefficients
-    (shaped like the signal) and modifies them in place; the level is then
-    added into the synthesis spectrum before the next one is formed.  Only
-    one level, the input half spectrum and the synthesis half spectrum are
-    held at once.  An op that leaves its level unchanged returns exactly
+    (shaped like the signal) and modifies them in place.  This is the
+    analysing fill of _synthesize: each level is added into the synthesis
+    spectrum before the next one is formed, so only one level, the input
+    half spectrum and the synthesis half spectrum are held at once.  An op
+    that leaves its level unchanged returns exactly
     reconstruct(decompose(signal, bank)).
     """
-    x, m, half = _analysis_input(signal, bank)
+    x, half, psis = _analysis_input(signal, bank)
     n = x.shape[0]
-    psis = bank.freq_responses(m)
-    synthesis = _Synthesis(psis, n, x.shape[1:])
-    buf = np.empty((m,) + x.shape[1:], dtype=np.complex128)
-    for k, psi in enumerate(psis):
-        _analyze_level(half, psi, buf)
+
+    def fill(k, buf):
+        _analyze_level(half, psis[k], buf)
         op(k, buf[:n])
-        synthesis.add(buf, k)
-    return synthesis.result()
+
+    return _synthesize(psis, n, x.shape[1:], fill)
 
 
 def decompose_direct(signal: np.ndarray, bank: GaborBank) -> Pyramid:
@@ -334,13 +325,11 @@ def decompose_direct(signal: np.ndarray, bank: GaborBank) -> Pyramid:
 
 def reconstruct(pyr: Pyramid) -> np.ndarray:
     """Collapse a pyramid back to a real profile or radargram matrix through
-    the bank that built it."""
-    n = pyr.source_len
+    the bank that built it: the copying fill of _synthesize."""
+    n = pyr.levels[0].shape[0]
     psis = pyr.bank.freq_responses(pyr.bank.transform_length(n))
-    frames = pyr.levels[0].shape[1:]
-    synthesis = _Synthesis(psis, n, frames)
-    buf = np.empty((psis.shape[1],) + frames, dtype=np.complex128)
-    for k, level in enumerate(pyr.levels):
-        buf[:n] = level
-        synthesis.add(buf, k)
-    return synthesis.result()
+
+    def fill(k, buf):
+        buf[:n] = pyr.levels[k]
+
+    return _synthesize(psis, n, pyr.levels[0].shape[1:], fill)

@@ -201,15 +201,17 @@ def _radargram(path: str, data, fps, bin_spacing, t0_offset) -> Radargram:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def read_config(path: str, sections=()) -> list[tuple[int, str, str | None]]:
+def read_config(path: str, sections=(), repeatable=()) -> list[tuple[int, str, str | None]]:
     """Entries of a key=value file as (line number, key, value).
 
     ``#`` starts a comment anywhere on a line and blank lines are skipped.
     A ``[name]`` line with a name in ``sections`` is returned as
-    (line number, ``"[name]"``, None); any other section, or a line without
-    ``=``, raises FormatError naming the file and line.
+    (line number, ``"[name]"``, None) and starts a new section; any other
+    section, a line without ``=``, or a key outside ``repeatable`` given
+    twice in one section raises FormatError naming the file and line.
     """
     entries = []
+    seen = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -219,9 +221,14 @@ def read_config(path: str, sections=()) -> list[tuple[int, str, str | None]]:
                 if line[1:-1].strip() not in sections:
                     raise FormatError(f"{path}:{lineno}: unknown section {line!r}")
                 entries.append((lineno, line, None))
+                seen = set()
             elif "=" in line:
                 key, _, value = line.partition("=")
-                entries.append((lineno, key.strip(), value.strip()))
+                key = key.strip()
+                if key in seen and key not in repeatable:
+                    raise FormatError(f"{path}:{lineno}: repeated key {key!r}")
+                seen.add(key)
+                entries.append((lineno, key, value.strip()))
             else:
                 raise FormatError(f"{path}:{lineno}: expected key=value, got {line!r}")
     return entries
@@ -249,6 +256,9 @@ def _load_csv(path: str) -> Radargram:
     for key in ("fps", "bin_spacing"):
         if key not in meta:
             raise FormatError(f"{path}.meta: missing required key {key!r}")
+    for key in ("n_bins", "n_frames"):
+        if not meta.get(key, 0.0).is_integer():
+            raise FormatError(f"{path}.meta: {key} must be a whole number, got {meta[key]!r}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)   # empty file; its shape is rejected below

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from radarmag import (DEFAULT_WAVELENGTHS, FormatError, GaborParams, decompose,
+from radarmag import (DEFAULT_WAVELENGTHS, FormatError, GaborBank, GaborParams, decompose,
                       decompose_direct, default_bank, dyadic_bank, load_bank_config,
                       make_bank, make_gabor, reconstruct)
 from radarmag.gabor import map_levels
@@ -224,17 +224,28 @@ class TestDecomposeProperties:
 
 
 class TestReconstruct:
-    def test_identity_op_is_reconstruct(self):
+    def test_identity_op_is_reconstruct(self, monkeypatch):
         # reconstruct(decompose(x)) is the unchanged-level case of map_levels:
         # it synthesizes through the bank that built the pyramid, also for a
-        # bank sharing the default wavelengths but not their sigmas
+        # bank sharing the default wavelengths but not their sigmas.  Each of
+        # the three calls fetches the bank's responses exactly once.
+        fetched = []
+        freq_responses = GaborBank.freq_responses
+        monkeypatch.setattr(GaborBank, "freq_responses",
+                            lambda bank, m: fetched.append(m) or freq_responses(bank, m))
         rng = np.random.default_rng(7)
         for bank in (BANK, make_bank(DEFAULT_WAVELENGTHS, bandwidth_divisor=10)):
-            for x in (rng.standard_normal(256), rng.standard_normal((256, 5))):
+            for x in (rng.standard_normal(256), rng.standard_normal((256, 5)),
+                      rng.standard_normal(1), rng.standard_normal((256, 1))):
                 seen = []
                 out = map_levels(x, bank, lambda k, level: seen.append(k))
                 assert seen == list(range(len(bank)))
-                assert np.array_equal(out, reconstruct(decompose(x, bank)))
+                assert len(fetched) == 1
+                pyr = decompose(x, bank)
+                assert len(fetched) == 2
+                assert np.array_equal(out, reconstruct(pyr))
+                assert fetched == [bank.transform_length(x.shape[0])] * 3
+                fetched.clear()
 
     def test_identity_on_in_band_signals(self):
         bank = default_bank()

@@ -120,6 +120,20 @@ class TestCsvFormat:
         with pytest.raises(FormatError, match=":2:"):
             load_radargram(path)
 
+    @pytest.mark.parametrize("meta, message", [
+        ("fps=100\nbin_spacing=0.05\nfps=50\n", ":3: repeated key 'fps'"),
+        ("fps=100\nbin_spacing=0.05\nn_bins=3.7\n", ": n_bins must be a whole number, got 3.7"),
+        ("fps=100\nbin_spacing=0.05\nn_frames=2.5\n", ": n_frames must be a whole number, got 2.5"),
+    ], ids=["fps-twice", "fractional-bins", "fractional-frames"])
+    def test_sidecar_rejects_repeated_keys_and_fractional_counts(self, tmp_path, meta, message):
+        path = str(tmp_path / "r.csv")
+        np.savetxt(path, np.zeros((3, 2)), fmt="%g", delimiter=",")
+        with open(path + ".meta", "w") as fh:
+            fh.write(meta)
+        with pytest.raises(FormatError) as info:
+            load_radargram(path)
+        assert str(info.value) == path + ".meta" + message
+
 
 class TestWindows:
     def test_30s_5s_windowing(self):

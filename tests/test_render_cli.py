@@ -356,6 +356,20 @@ class TestEvalRejectsBadInput:
         assert run_eval(root, blobs["ols"], "empty.csv") == (
             1, [f"error: {root / 'empty.csv'}: no feature rows"])
 
+    @pytest.mark.parametrize("header, message", [
+        ("window_start_s,label_bpm", "no feature columns"),
+        ("window_start_s,label_bpm,f0,f0", "repeated column 'f0'"),
+        ("window_start_s,label_bpm,f0,label_bpm", "repeated column 'label_bpm'"),
+    ], ids=["no-feature-column", "repeated-feature", "repeated-label"])
+    def test_feature_csv_columns(self, eval_inputs, header, message):
+        root, blobs = eval_inputs
+        row = ",".join(["0", "15"] + ["1"] * (header.count(",") - 1))
+        path = root / "columns.csv"
+        path.write_text(f"{header}\n{row}\n{row}\n{row}\n")
+        assert run_eval(root, blobs["rf"], "columns.csv") == (1, [f"error: {path}: {message}"])
+        assert run_cli(["train", str(path), "--folds", "3", "-o", str(root / "m.bin")]) == (
+            1, [f"error: {path}: {message}"])
+
 
 @pytest.fixture(scope="module")
 def small_rgrm(tmp_path_factory):
@@ -415,6 +429,8 @@ BANKS = ["wavelengths = {}, 8\n",
          "level = {}:4\nlevel = 8:2\n",
          "level = 16:{}\nlevel = 8:2\n"]
 
+EXCLUSIVE_LEVELS = ": 'level' entries exclude 'wavelengths' and 'bandwidth_divisor'"
+
 
 def write_scene(path, edit=None, key=None, value=None):
     """Write the test scene with entry ``edit`` = (block, key) replaced by
@@ -467,6 +483,32 @@ class TestConfigFilesRejectBadInput:
         line = write_scene(path, entry, key[:-1], SCENE[block][key])
         code, err = run_cli(["simulate", str(path), "-o", str(config_dir / "x.rgrm")])
         assert (code, err) == (1, [f"error: {path}:{line}: unknown key {key[:-1]!r}"])
+
+    @settings(max_examples=len(SCENE_KEYS), deadline=None)
+    @given(st.sampled_from(SCENE_KEYS))
+    def test_repeated_scene_key(self, config_dir, entry):
+        path = config_dir / "bad_scene.cfg"
+        block, key = entry
+        line = write_scene(path, entry, key, SCENE[block][key])
+        lines = path.read_text().splitlines()
+        lines.insert(line, lines[line - 1])
+        path.write_text("\n".join(lines) + "\n")
+        code, err = run_cli(["simulate", str(path), "-o", str(config_dir / "x.rgrm")])
+        assert (code, err) == (1, [f"error: {path}:{line + 1}: repeated key {key!r}"])
+
+    @pytest.mark.parametrize("template, message", [
+        ("wavelengths = 75, 15\nlevel = 10:1\n", EXCLUSIVE_LEVELS),
+        ("level = 16:4\nlevel = 8:2\nbandwidth_divisor = 3\n", EXCLUSIVE_LEVELS),
+        ("wavelengths = 16, 8\nwavelengths = 16, 4\n", ":2: repeated key 'wavelengths'"),
+        ("wavelengths = 16, 8\nbandwidth_divisor = 3\nbandwidth_divisor = 4\n",
+         ":3: repeated key 'bandwidth_divisor'"),
+    ], ids=["wavelengths-and-level", "level-and-divisor", "wavelengths-twice", "divisor-twice"])
+    def test_conflicting_bank_keys(self, config_dir, template, message):
+        path = config_dir / "bank.cfg"
+        path.write_text(template)
+        code, err = run_cli(["magnify", str(config_dir / "scene.rgrm"), str(config_dir / "x.rgrm"),
+                             "--alpha", "1", "--band", "0.5:2", "--bank", str(path)])
+        assert (code, err) == (1, [f"error: {path}{message}"])
 
     @settings(max_examples=len(BANKS) * len(BAD_VALUES), deadline=None)
     @given(st.sampled_from(BANKS), st.sampled_from(BAD_VALUES))
