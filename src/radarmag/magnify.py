@@ -6,14 +6,18 @@ Gabor bank (gabor.map_levels): for each level it unwraps every bin's
 coefficient phase along slow time, gates it by amplitude, bandpasses it
 around the motion frequency, scales the result by alpha and rotates the
 coefficients by the scaled phase, then adds the level into the synthesis
-before forming the next.  Output displacement corresponds to (1 + alpha)
-times the input displacement; alpha in [-1, 0) attenuates and alpha = -1
-removes in-band motion entirely.
+before forming the next.  The phase operation runs on row blocks of a
+level, on a thread pool when a level holds more than one block.  Output
+displacement corresponds to (1 + alpha) times the input displacement;
+alpha in [-1, 0) attenuates and alpha = -1 removes in-band motion entirely.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -34,6 +38,10 @@ AMPLITUDE_MASK_RATIO = 1e-8
 PHASE_GATE_RATIO = 1e-3
 # Temporal smoothing sigma (seconds) of the phase gate's amplitude mask.
 GATE_SMOOTH_S = 0.05
+# Coefficients per row block of the phase operation (43 rows at 6000
+# frames): a block's temporaries stay a few MB while the per-call overhead
+# of its steps stays small.
+BLOCK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -143,11 +151,39 @@ def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
         phase[mixed] *= gaussian_filter1d(gate, sigma, axis=1, mode="nearest")
 
 
-def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
-    """Rotate one level (bins x frames) in place by alpha times its filtered phase."""
-    phase = unwrap_phase(np.angle(level))
-    amplitude = np.abs(level)
-    peak = amplitude.max()
+@cache
+def _pool() -> ThreadPoolExecutor:
+    """The module's thread pool, sized to the CPUs this process may use."""
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:
+        workers = os.cpu_count() or 1
+    return ThreadPoolExecutor(workers, thread_name_prefix="radarmag")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads; it makes its own
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map_blocks(fn, starts: range) -> list:
+    """[fn(start) for start in starts], on the thread pool when there is more
+    than one block; a single block runs inline and starts no thread."""
+    if len(starts) <= 1:
+        return [fn(start) for start in starts]
+    return list(_pool().map(fn, starts))
+
+
+def _rotate_rows(level: np.ndarray, rows: np.ndarray, peak: float, fps: float,
+                 cfg: MagnifyConfig) -> None:
+    """Rotate the given rows of a level in place by alpha times their filtered
+    phase, gated and masked against the level's peak amplitude.  A run of
+    consecutive rows is rotated as a view of the level; other rows are
+    gathered and written back."""
+    run = rows[-1] - rows[0] == len(rows) - 1
+    block = level[rows[0] : rows[-1] + 1] if run else level[rows]
+    phase = unwrap_phase(np.angle(block))
+    amplitude = np.abs(block)
     if peak > 0:
         _gate_phase(phase, amplitude >= PHASE_GATE_RATIO * peak, GATE_SMOOTH_S * fps)
     filtered = dct_bandpass(phase, fps, cfg.band, axis=1)
@@ -155,11 +191,33 @@ def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
     filtered[amplitude < AMPLITUDE_MASK_RATIO * peak] = 0.0
     del amplitude
     filtered *= cfg.alpha
-    rotation = np.empty_like(level)
+    rotation = np.empty_like(block)
     np.cos(filtered, out=rotation.real)
     np.sin(filtered, out=rotation.imag)
     del filtered
-    level *= rotation
+    block *= rotation
+    if not run:
+        level[rows] = block
+
+
+def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
+    """Rotate one level (bins x frames) in place by alpha times its filtered phase.
+
+    Every step runs along frames, row by row, except the level's peak
+    amplitude, which one pass over row blocks takes first.  A row whose
+    peak lies below the phase gate has its phase zeroed, hence rotates by
+    exactly 1, and is left untouched; the other rows are rotated in blocks
+    of about BLOCK_ELEMENTS coefficients on the module's thread pool.  The
+    result does not depend on the block size or the number of threads.
+    """
+    step = max(1, BLOCK_ELEMENTS // level.shape[1])
+    row_peak = np.concatenate(_map_blocks(
+        lambda lo: np.abs(level[lo : lo + step]).max(axis=1), range(0, level.shape[0], step)))
+    peak = row_peak.max()
+    # ~(<) rather than >=, so that a NaN row is kept and unwrap_phase rejects it
+    live = np.flatnonzero(~(row_peak < PHASE_GATE_RATIO * peak))
+    _map_blocks(lambda lo: _rotate_rows(level, live[lo : lo + step], peak, fps, cfg),
+                range(0, len(live), step))
 
 
 def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:

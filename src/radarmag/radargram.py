@@ -246,9 +246,14 @@ def config_number(path: str, lineno: int, key: str, text: str) -> float:
 
 
 def read_sidecar(path: str) -> dict:
-    """Parse a key=value sidecar file; values are finite floats."""
-    return {key: config_number(path, lineno, key, value)
-            for lineno, key, value in read_config(path)}
+    """Parse a key=value sidecar file; values are finite floats.  Keys other
+    than those save_radargram writes are rejected with their line number."""
+    meta = {}
+    for lineno, key, value in read_config(path):
+        if key not in ("fps", "bin_spacing", "t0_offset", "n_bins", "n_frames"):
+            raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+        meta[key] = config_number(path, lineno, key, value)
+    return meta
 
 
 def _load_csv(path: str) -> Radargram:

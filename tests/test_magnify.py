@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
                       dct_bandpass, decompose, global_magnify, magnify,
                       magnify_windowed, reconstruct, simulate, unwrap_phase)
+from radarmag.magnify import (AMPLITUDE_MASK_RATIO, GATE_SMOOTH_S, PHASE_GATE_RATIO,
+                              _gate_phase, _rotate_level)
 
 from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TRACK_SLICE, displacement_p2p,
                     magnify_bank, validation_scene)
@@ -199,6 +202,84 @@ class TestMagnify:
             # the oscillating target's magnified band agrees between the two paths
             num = np.linalg.norm(stitched.data[seg, interior] - one_shot.data[seg, interior])
             assert num / np.linalg.norm(one_shot.data[seg, interior]) < 0.05, wspec
+
+
+def whole_level_rotation(level, fps, cfg):
+    """The phase op over a whole level at once: the oracle of the row-blocked
+    _rotate_level, which must match it bit for bit."""
+    phase = unwrap_phase(np.angle(level))
+    amplitude = np.abs(level)
+    peak = amplitude.max()
+    if peak > 0:
+        _gate_phase(phase, amplitude >= PHASE_GATE_RATIO * peak, GATE_SMOOTH_S * fps)
+    filtered = dct_bandpass(phase, fps, cfg.band, axis=1)
+    del phase
+    filtered[amplitude < AMPLITUDE_MASK_RATIO * peak] = 0.0
+    del amplitude
+    filtered *= cfg.alpha
+    rotation = np.empty_like(level)
+    np.cos(filtered, out=rotation.real)
+    np.sin(filtered, out=rotation.imag)
+    del filtered
+    level *= rotation
+
+
+def handmade_levels():
+    """A level of zeros (peak 0); one row above the phase gate, one exactly at
+    it and the rest below; and a 1-row level."""
+    rng = np.random.default_rng(5)
+    n = 400
+    turns = np.cumsum(rng.integers(0, 3, n)) % 4
+    quarter_turns = np.array([1, 1j, -1, -1j])[turns]   # |z| is exactly 1
+    gated = 1e-4 * np.exp(1j * rng.uniform(-np.pi, np.pi, (6, n)))
+    gated[0] = 1000.0 * quarter_turns
+    gated[3] = PHASE_GATE_RATIO * 1000.0 * quarter_turns[::-1]
+    single = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+    return {"zeros": np.zeros((5, n), complex), "gated": gated, "one-row": single}
+
+
+class TestRotateLevel:
+    @pytest.fixture(params=["default-blocks", "one-row-blocks"])
+    def block_elements(self, request, monkeypatch):
+        if request.param == "default-blocks":
+            yield request.param
+            return
+        # BLOCK_ELEMENTS below one row gives one row per block, so every
+        # level of more than one row runs on the thread pool; a short switch
+        # interval interleaves the threads' write-backs as often as it can
+        monkeypatch.setattr(sys.modules["radarmag.magnify"], "BLOCK_ELEMENTS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield request.param
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def assert_matches_oracle(level, fps, cfg):
+        expected, actual = level.copy(), level.copy()
+        whole_level_rotation(expected, fps, cfg)
+        _rotate_level(actual, fps, cfg)
+        assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("alpha", [10.0, 50.0])
+    def test_scene_levels_match_whole_level_op(self, scene_data, block_elements, alpha):
+        cfg = MagnifyConfig(alpha=alpha, band=SCENE_BAND)
+        for level in decompose(scene_data.data, magnify_bank()).levels:
+            self.assert_matches_oracle(level, scene_data.fps, cfg)
+
+    @pytest.mark.parametrize("name", ["zeros", "gated", "one-row"])
+    def test_handmade_levels_match_whole_level_op(self, block_elements, name):
+        level = handmade_levels()[name]
+        self.assert_matches_oracle(level, 200.0, MagnifyConfig(alpha=10.0, band=SCENE_BAND))
+
+    def test_row_at_the_gate_is_rotated(self):
+        # the row whose peak equals the gate exactly is gated, not skipped
+        level = handmade_levels()["gated"]
+        rotated = level.copy()
+        _rotate_level(rotated, 200.0, MagnifyConfig(alpha=10.0, band=SCENE_BAND))
+        changed = ~np.isclose(rotated, level, rtol=1e-9, atol=0.0).all(axis=1)
+        assert changed.tolist() == [True, False, False, True, False, False]
 
 
 class TestGlobalMagnify:

@@ -124,7 +124,8 @@ class TestCsvFormat:
         ("fps=100\nbin_spacing=0.05\nfps=50\n", ":3: repeated key 'fps'"),
         ("fps=100\nbin_spacing=0.05\nn_bins=3.7\n", ": n_bins must be a whole number, got 3.7"),
         ("fps=100\nbin_spacing=0.05\nn_frames=2.5\n", ": n_frames must be a whole number, got 2.5"),
-    ], ids=["fps-twice", "fractional-bins", "fractional-frames"])
+        ("fps=100\nbin_spacing=0.05\nt0_ofset=0.5\n", ":3: unknown key 't0_ofset'"),
+    ], ids=["fps-twice", "fractional-bins", "fractional-frames", "misspelt-key"])
     def test_sidecar_rejects_repeated_keys_and_fractional_counts(self, tmp_path, meta, message):
         path = str(tmp_path / "r.csv")
         np.savetxt(path, np.zeros((3, 2)), fmt="%g", delimiter=",")
