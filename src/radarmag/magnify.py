@@ -177,11 +177,8 @@ def _map_blocks(fn, starts: range) -> list:
 def _rotate_rows(level: np.ndarray, rows: np.ndarray, peak: float, fps: float,
                  cfg: MagnifyConfig) -> None:
     """Rotate the given rows of a level in place by alpha times their filtered
-    phase, gated and masked against the level's peak amplitude.  A run of
-    consecutive rows is rotated as a view of the level; other rows are
-    gathered and written back."""
-    run = rows[-1] - rows[0] == len(rows) - 1
-    block = level[rows[0] : rows[-1] + 1] if run else level[rows]
+    phase, gated and masked against the level's peak amplitude."""
+    block = level[rows]
     phase = unwrap_phase(np.angle(block))
     amplitude = np.abs(block)
     if peak > 0:
@@ -196,8 +193,7 @@ def _rotate_rows(level: np.ndarray, rows: np.ndarray, peak: float, fps: float,
     np.sin(filtered, out=rotation.imag)
     del filtered
     block *= rotation
-    if not run:
-        level[rows] = block
+    level[rows] = block
 
 
 def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
