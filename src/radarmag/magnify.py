@@ -7,7 +7,9 @@ coefficient phase along slow time, gates it by amplitude, bandpasses it
 around the motion frequency, scales the result by alpha and rotates the
 coefficients by the scaled phase, then adds the level into the synthesis
 before forming the next.  The phase operation runs on row blocks of a
-level, on a thread pool when a level holds more than one block.  Output
+level, on a thread pool when a level holds more than one block; windowed
+magnification runs one such loop per group of windows and the windows of
+a group on the pool.  Output
 displacement corresponds to (1 + alpha) times the input displacement;
 alpha in [-1, 0) attenuates and alpha = -1 removes in-band motion entirely.
 """
@@ -26,7 +28,7 @@ from scipy.ndimage import gaussian_filter1d
 # decompose is not called here; it stays bound in this module because the
 # benchmark self-test (perfbench/selftest.py) checks its tracing wrapper here.
 from .gabor import GaborBank, decompose, map_levels  # noqa: F401
-from .radargram import Radargram, WindowSpec, windows
+from .radargram import Radargram, WindowSpec
 
 # Filtered phase is zeroed at coefficients below this fraction of the level's
 # peak amplitude.
@@ -42,6 +44,10 @@ GATE_SMOOTH_S = 0.05
 # frames): a block's temporaries stay a few MB while the per-call overhead
 # of its steps stays small.
 BLOCK_ELEMENTS = 2**18
+# Coefficients in one level of a windowed-magnification frame group (four
+# 1 s windows at a 0.5 s shift of a 512-bin, 200 fps record): the group's
+# analysis and synthesis buffers stay tens of MB however long the record.
+GROUP_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -166,10 +172,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _map_blocks(fn, starts: range) -> list:
+def _map_blocks(fn, starts: range, inline: bool = False) -> list:
     """[fn(start) for start in starts], on the thread pool when there is more
-    than one block; a single block runs inline and starts no thread."""
-    if len(starts) <= 1:
+    than one block; a single block runs inline and starts no thread.  A
+    task already on the pool passes inline=True: waiting on the pool from
+    one of its own threads can deadlock."""
+    if inline or len(starts) <= 1:
         return [fn(start) for start in starts]
     return list(_pool().map(fn, starts))
 
@@ -196,24 +204,37 @@ def _rotate_rows(level: np.ndarray, rows: np.ndarray, peak: float, fps: float,
     level[rows] = block
 
 
-def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig) -> None:
+def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig,
+                  inline: bool = False) -> None:
     """Rotate one level (bins x frames) in place by alpha times its filtered phase.
 
     Every step runs along frames, row by row, except the level's peak
     amplitude, which one pass over row blocks takes first.  A row whose
     peak lies below the phase gate has its phase zeroed, hence rotates by
     exactly 1, and is left untouched; the other rows are rotated in blocks
-    of about BLOCK_ELEMENTS coefficients on the module's thread pool.  The
-    result does not depend on the block size or the number of threads.
+    of about BLOCK_ELEMENTS coefficients on the module's thread pool, or
+    one after another with inline=True.  The result does not depend on the
+    block size or the number of threads.
     """
     step = max(1, BLOCK_ELEMENTS // level.shape[1])
     row_peak = np.concatenate(_map_blocks(
-        lambda lo: np.abs(level[lo : lo + step]).max(axis=1), range(0, level.shape[0], step)))
+        lambda lo: np.abs(level[lo : lo + step]).max(axis=1), range(0, level.shape[0], step),
+        inline))
     peak = row_peak.max()
     # ~(<) rather than >=, so that a NaN row is kept and unwrap_phase rejects it
     live = np.flatnonzero(~(row_peak < PHASE_GATE_RATIO * peak))
     _map_blocks(lambda lo: _rotate_rows(level, live[lo : lo + step], peak, fps, cfg),
-                range(0, len(live), step))
+                range(0, len(live), step), inline)
+
+
+def _check_finite(level: np.ndarray, k: int, bank: GaborBank, frame0: int = 0) -> None:
+    """ValueError naming level k, the bin and the record frame (frame0 plus
+    the column) of the first non-finite coefficient, if there is one."""
+    if not np.isfinite(level).all():
+        bad = np.argwhere(~np.isfinite(level))[0]
+        raise ValueError(
+            f"non-finite coefficient at level {k} (wavelength {bank.levels[k].wavelength}), "
+            f"bin {bad[0]}, frame {frame0 + bad[1]}")
 
 
 def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
@@ -231,11 +252,7 @@ def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
 
     def rotate(k: int, level: np.ndarray) -> None:
         _rotate_level(level, r.fps, cfg)
-        if not np.isfinite(level).all():
-            bad = np.argwhere(~np.isfinite(level))[0]
-            raise ValueError(
-                f"non-finite coefficient at level {k} (wavelength {bank.levels[k].wavelength}), "
-                f"bin {bad[0]}, frame {bad[1]}")
+        _check_finite(level, k, bank)
 
     return r.with_data(map_levels(r.data, bank, rotate))
 
@@ -244,24 +261,64 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
                      wspec: WindowSpec) -> Radargram:
     """Window-at-a-time magnification for long records.
 
-    Windows are cut by radargram.windows, plus one window ending at the last
-    frame when those stop short of it.  Each window is magnified on its own
-    and window i keeps frames [start_i + margin, start_{i+1} + margin), the
-    centre of the window (overlap-discard stitching), which keeps filter edge
-    transients out of the result; the first window keeps from frame 0 and
-    the last one up to the end of the record.
+    Windows start at wspec.starts, plus one window ending at the last frame
+    when those stop short of it.  Each window is magnified on its own and
+    window i keeps frames [start_i + margin, start_{i+1} + margin), the
+    centre of the window (overlap-discard stitching), which keeps filter
+    edge transients out of the result; the first window keeps from frame 0
+    and the last one up to the end of the record.
+
+    Analysis and synthesis act on each frame alone, so the windows are
+    stitched level by level, before synthesis, with the same result.  The
+    record is cut into frame groups of consecutive windows, each spanning
+    at most about GROUP_ELEMENTS coefficients per level (at least one
+    window), and each group runs one gabor.map_levels pass.  Per level, the
+    group's windows run on the thread pool: each rotates its own copy of
+    its frames with its own peak, gate and bandpass, and writes its kept
+    frames into the group's stitched centre, which then replaces those
+    frames of the level; the row blocks of such a window run inline.  A
+    group of one window (a window longer than the cap) rotates its level
+    in place, with its row blocks on the pool.  So one group holds its
+    level, the analysis and synthesis spectra, the stitched centre and a
+    window copy per thread, whatever the record's length.
     """
     length, shift = wspec.frames(r.fps)
     if r.n_frames < length:
         return magnify(r, bank, cfg)
-    cut = windows(r, wspec)
-    if cut[-1][0] + length < r.n_frames:
-        cut.append((r.n_frames - length, r.with_data(r.data[:, -length:])))
+    if length < 4:
+        raise ValueError(f"need at least 4 frames, got {length}")
+    cfg.band.validate(r.fps)
+    starts = list(wspec.starts(r.n_frames, r.fps))
+    if starts[-1] + length < r.n_frames:
+        starts.append(r.n_frames - length)
     margin = (length - shift) // 2
-    bounds = [0] + [start + margin for start, _ in cut[1:]] + [r.n_frames]
+    bounds = [0] + [start + margin for start in starts[1:]] + [r.n_frames]
+    per_group = max(1, (GROUP_ELEMENTS // r.n_bins - length) // shift + 1)
     out = np.empty_like(r.data)
-    for (start, window), lo, hi in zip(cut, bounds, bounds[1:]):
-        out[:, lo:hi] = magnify(window, bank, cfg).data[:, lo - start : hi - start]
+    for g in range(0, len(starts), per_group):
+        group = range(g, min(g + per_group, len(starts)))
+        first = starts[group[0]]
+        lo, hi = bounds[group[0]], bounds[group[-1] + 1]
+
+        def rotate(k: int, level: np.ndarray) -> None:
+            if len(group) == 1:   # no other window reads this level: no copies
+                _rotate_level(level, r.fps, cfg)
+                _check_finite(level, k, bank, first)
+                return
+            centre = np.empty((level.shape[0], hi - lo), dtype=level.dtype)
+
+            def rotate_window(i: int) -> None:
+                window = level[:, starts[i] - first : starts[i] - first + length].copy()
+                _rotate_level(window, r.fps, cfg, inline=True)
+                _check_finite(window, k, bank, starts[i])
+                centre[:, bounds[i] - lo : bounds[i + 1] - lo] = \
+                    window[:, bounds[i] - starts[i] : bounds[i + 1] - starts[i]]
+
+            _map_blocks(rotate_window, group)
+            level[:, lo - first : hi - first] = centre
+
+        end = starts[group[-1]] + length
+        out[:, lo:hi] = map_levels(r.data[:, first:end], bank, rotate)[:, lo - first : hi - first]
     return r.with_data(out)
 
 

@@ -12,6 +12,9 @@ import numpy as np
 from .radargram import Radargram
 
 COLORMAPS = ("gray", "jet")
+# Samples per row block: the colormap's float temporaries (a few per
+# sample) stay within a few MB whatever the record's size.
+BLOCK_SAMPLES = 2**16
 
 
 def _jet(v: np.ndarray) -> np.ndarray:
@@ -24,7 +27,11 @@ def _jet(v: np.ndarray) -> np.ndarray:
 
 def render_heatmap(r: Radargram, colormap: str = "jet",
                    clip_percentiles: tuple[float, float] = (1.0, 99.0)) -> np.ndarray:
-    """Map samples to an RGB uint8 image of shape (n_bins, n_frames, 3)."""
+    """Map samples to an RGB uint8 image of shape (n_bins, n_frames, 3).
+
+    The clip percentiles are taken over the whole record; the colormap runs
+    on blocks of rows, each written into the preallocated image.
+    """
     if colormap not in COLORMAPS:
         raise ValueError(f"unknown colormap {colormap!r}, expected one of {COLORMAPS}")
     p_lo, p_hi = clip_percentiles
@@ -34,14 +41,20 @@ def render_heatmap(r: Radargram, colormap: str = "jet",
     hi = np.percentile(r.data, p_hi)
     if hi <= lo:
         warn("degenerate (constant) radargram; rendering uniform mid-level image", stacklevel=2)
-        values = np.full(r.data.shape, 0.5)
-    else:
-        values = np.clip((r.data - lo) / (hi - lo), 0.0, 1.0)
-    if colormap == "gray":
-        rgb = np.repeat(values[:, :, None], 3, axis=2)
-    else:
-        rgb = _jet(values)
-    return (rgb * 255.0 + 0.5).astype(np.uint8)
+    image = np.empty(r.data.shape + (3,), dtype=np.uint8)
+    step = max(1, BLOCK_SAMPLES // r.n_frames)
+    for first in range(0, r.n_bins, step):
+        block = r.data[first : first + step]
+        if hi <= lo:
+            values = np.full(block.shape, 0.5)
+        else:
+            values = np.clip((block - lo) / (hi - lo), 0.0, 1.0)
+        if colormap == "gray":
+            rgb = np.repeat(values[:, :, None], 3, axis=2)
+        else:
+            rgb = _jet(values)
+        image[first : first + step] = rgb * 255.0 + 0.5
+    return image
 
 
 def write_ppm(image: np.ndarray, path: str) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
+from scipy import fft as sfft
 
 from .radargram import FormatError, Radargram, RangeROI, config_number, read_config
 
@@ -138,18 +139,23 @@ def simulate(scene: SceneSpec, seed: int = 0) -> tuple[Radargram, np.ndarray]:
 def estimate_displacement(r: Radargram, roi: RangeROI) -> np.ndarray:
     """Sub-bin displacement trace of the dominant target inside a ROI.
 
-    Per frame: parabolic interpolation of the log squared envelope (Hilbert
-    magnitude along fast time) around the ROI argmax; in the log domain a
-    Gaussian envelope peak is exactly parabolic, so sub-bin offsets are
-    unbiased.  Returns the zero-mean trace in bins.
+    Per frame: parabolic interpolation of the log squared envelope (the
+    magnitude of the analytic signal along fast time) around the ROI argmax;
+    in the log domain a Gaussian envelope peak is exactly parabolic, so
+    sub-bin offsets are unbiased.  Returns the zero-mean trace in bins.
     """
     roi.validate(r.n_bins)
     if roi.n_bins < 3:
         raise ValueError("ROI must span at least 3 bins for parabolic interpolation")
-    # imported here, not at module level: scipy.signal loads scipy.stats and more
-    from scipy.signal import hilbert
-    envelope_sq = np.abs(hilbert(r.data, axis=0)) ** 2
-    segment = envelope_sq[roi.slice]
+    # the analytic signal as scipy.signal.hilbert forms it, in place: double
+    # the positive frequencies, zero the negative ones (Nyquist, if any, kept)
+    n = r.n_bins
+    spectrum = sfft.fft(r.data, axis=0)
+    spectrum[1 : (n + 1) // 2] *= 2.0
+    spectrum[n // 2 + 1 :] = 0.0
+    analytic = sfft.ifft(spectrum, axis=0, overwrite_x=True)
+    segment = np.abs(analytic[roi.slice]) ** 2
+    del spectrum, analytic
     if segment.max() <= 0 or np.ptp(segment) == 0:
         raise ValueError(f"ROI [{roi.first_bin}, {roi.last_bin}] is empty or flat")
     segment = np.log(segment + 1e-300 * segment.max())

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
-                      dct_bandpass, decompose, global_magnify, magnify,
-                      magnify_windowed, reconstruct, simulate, unwrap_phase)
+                      dct_bandpass, decompose, default_bank, global_magnify, magnify,
+                      magnify_windowed, reconstruct, simulate, unwrap_phase, windows)
 from radarmag.magnify import (AMPLITUDE_MASK_RATIO, GATE_SMOOTH_S, PHASE_GATE_RATIO,
                               _gate_phase, _rotate_level)
 
-from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TRACK_SLICE, displacement_p2p,
-                    magnify_bank, validation_scene)
+from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TRACK_SLICE, breather_scene,
+                    displacement_p2p, magnify_bank, validation_scene)
 
 
 class TestBandSpec:
@@ -202,6 +202,110 @@ class TestMagnify:
             # the oscillating target's magnified band agrees between the two paths
             num = np.linalg.norm(stitched.data[seg, interior] - one_shot.data[seg, interior])
             assert num / np.linalg.norm(one_shot.data[seg, interior]) < 0.05, wspec
+
+
+def per_window_magnify(r, bank, cfg, wspec):
+    """Windowed magnification one whole magnify call per window: the oracle
+    of the grouped magnify_windowed, which must match it bit for bit."""
+    length, shift = wspec.frames(r.fps)
+    if r.n_frames < length:
+        return magnify(r, bank, cfg)
+    cut = windows(r, wspec)
+    if cut[-1][0] + length < r.n_frames:
+        cut.append((r.n_frames - length, r.with_data(r.data[:, -length:])))
+    margin = (length - shift) // 2
+    bounds = [0] + [start + margin for start, _ in cut[1:]] + [r.n_frames]
+    out = np.empty_like(r.data)
+    for (start, window), lo, hi in zip(cut, bounds, bounds[1:]):
+        out[:, lo:hi] = magnify(window, bank, cfg).data[:, lo - start : hi - start]
+    return r.with_data(out)
+
+
+@pytest.fixture(scope="module")
+def short_scene():
+    r, _ = simulate(validation_scene(duration_s=3.0), seed=0)
+    return r
+
+
+class TestMagnifyWindowed:
+    @staticmethod
+    def assert_matches_oracle(r, wspec, alpha):
+        bank = magnify_bank()
+        cfg = MagnifyConfig(alpha=alpha, band=SCENE_BAND)
+        actual = magnify_windowed(r, bank, cfg, wspec)
+        assert np.array_equal(actual.data, per_window_magnify(r, bank, cfg, wspec).data)
+        assert (actual.fps, actual.bin_spacing, actual.t0_offset) == (
+            r.fps, r.bin_spacing, r.t0_offset)
+
+    # on the 3 s record, 1:0.5 and 2:1 tile it and 0.7:0.3 leaves a tail
+    # that only the extra window ending at the last frame covers
+    @pytest.mark.parametrize("alpha", [0.0, 10.0, 50.0])
+    @pytest.mark.parametrize("wspec", [WindowSpec(1.0, 0.5), WindowSpec(2.0, 1.0),
+                                       WindowSpec(0.7, 0.3)], ids=["1:0.5", "2:1", "0.7:0.3"])
+    def test_matches_per_window_oracle(self, short_scene, wspec, alpha):
+        self.assert_matches_oracle(short_scene, wspec, alpha)
+
+    @pytest.mark.parametrize("length_s", [3.0, 2.9, 3.5],
+                             ids=["one-window", "one-window-and-tail", "record-shorter"])
+    def test_records_of_about_one_window(self, short_scene, length_s):
+        # a record of exactly one window is one group of one window, a
+        # slightly longer one adds the tail window, and a shorter one is
+        # magnified whole
+        self.assert_matches_oracle(short_scene, WindowSpec(length_s, 1.0), 10.0)
+
+    def test_small_blocks_and_groups(self, short_scene, monkeypatch):
+        # windows of several row blocks each run on the pool, whose blocks
+        # must then run inline (a pool task waiting on its own pool can
+        # deadlock), and a group cap of two 0.7:0.3 windows cuts the 3 s
+        # record's nine windows into five groups, one map_levels pass each
+        module = sys.modules["radarmag.magnify"]
+        monkeypatch.setattr(module, "BLOCK_ELEMENTS", 40 * 140)
+        monkeypatch.setattr(module, "GROUP_ELEMENTS", 512 * 200)
+        passes = []
+        map_levels = module.map_levels
+
+        def counted_map_levels(signal, bank, op):
+            passes.append(signal.shape[1])
+            return map_levels(signal, bank, op)
+
+        monkeypatch.setattr(module, "map_levels", counted_map_levels)
+        self.assert_matches_oracle(short_scene, WindowSpec(0.7, 0.3), 10.0)
+        assert passes[:5] == [200, 200, 200, 200, 140]
+
+    def test_too_few_frames_per_window(self, short_scene):
+        with pytest.raises(ValueError, match="at least 4 frames, got 3"):
+            magnify_windowed(short_scene, magnify_bank(), MagnifyConfig(1.0, SCENE_BAND),
+                             WindowSpec(3 / short_scene.fps, 1 / short_scene.fps))
+
+    def test_non_finite_coefficient_names_its_level(self):
+        # the breather scaled until its Gabor coefficients overflow float64
+        r, _ = simulate(breather_scene(0.25, 0.5), seed=1)
+        r = r.with_data(r.data * 1e306)
+        with pytest.raises(ValueError, match="non-finite coefficient at level 3 "):
+            magnify_windowed(r, default_bank(), MagnifyConfig(2.0, BandSpec(0.1, 0.7)),
+                             WindowSpec(10.0, 5.0))
+
+    def test_memory_does_not_grow_with_record_length(self):
+        # the traced peak above the output is one group's, however many
+        # groups the record holds
+        base, _ = simulate(validation_scene(), seed=0)
+        bank = magnify_bank()
+        cfg = MagnifyConfig(alpha=10.0, band=SCENE_BAND)
+        wspec = WindowSpec(1.0, 0.5)
+        magnify_windowed(base.with_data(base.data[:, :400]), bank, cfg, wspec)   # warm caches
+        peaks = []
+        for repeats in (1, 4):
+            r = base.with_data(np.tile(base.data, repeats))
+            tracemalloc.start()
+            try:
+                out = magnify_windowed(r, bank, cfg, wspec)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - out.data.nbytes)
+            del out
+        assert r.data.shape == (512, 8000)
+        assert peaks[1] <= 1.25 * peaks[0], [f"{p / 2**20:.1f} MiB" for p in peaks]
 
 
 def whole_level_rotation(level, fps, cfg):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from radarmag import (Dataset, FeatureRow, Radargram, default_bank, feature_name
                       fit_rf, load_radargram, read_ppm, render_heatmap, save_model,
                       save_radargram, simulate, write_features_csv, write_ppm)
 from radarmag.cli import main
+from radarmag.render import _jet
 
 from scenes import breather_scene, validation_scene
 
@@ -44,6 +46,20 @@ class TestRender:
         lo, hi = np.percentile(r.data, [1.0, 99.0])
         clipped = np.mean((r.data <= lo) | (r.data >= hi))
         assert clipped <= 0.02 + 1.0 / r.data.size
+
+    @pytest.mark.parametrize("colormap", ["jet", "gray"])
+    def test_row_blocks_match_whole_image(self, monkeypatch, colormap):
+        # 37 rows in blocks of 2 leave a last block of one row; the clip
+        # percentiles stay those of the whole record
+        monkeypatch.setattr(sys.modules["radarmag.render"], "BLOCK_SAMPLES", 2 * 50)
+        rng = np.random.default_rng(4)
+        r = Radargram(rng.standard_normal((37, 50)) * np.arange(1, 38)[:, None], 10.0, 0.1)
+        lo, hi = np.percentile(r.data, 1.0), np.percentile(r.data, 99.0)
+        values = np.clip((r.data - lo) / (hi - lo), 0.0, 1.0)
+        rgb = np.repeat(values[:, :, None], 3, axis=2) if colormap == "gray" else _jet(values)
+        expected = (rgb * 255.0 + 0.5).astype(np.uint8)
+        image = render_heatmap(r, colormap=colormap)
+        assert image.dtype == np.uint8 and np.array_equal(image, expected)
 
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

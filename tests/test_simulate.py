@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.signal import hilbert
 
 from radarmag import (FormatError, RangeROI, SceneSpec, TargetSpec,
                       estimate_displacement, load_scene_config, simulate)
@@ -73,7 +76,30 @@ class TestSimulate:
                                           freq_hz=45.0),))
 
 
+def hilbert_displacement(r, roi):
+    """estimate_displacement's steps on scipy.signal.hilbert's envelope: the
+    oracle of its in-place analytic signal, which must match it bit for bit."""
+    segment = (np.abs(hilbert(r.data, axis=0)) ** 2)[roi.slice]
+    segment = np.log(segment + 1e-300 * segment.max())
+    peak = np.clip(np.argmax(segment, axis=0), 1, roi.n_bins - 2)
+    cols = np.arange(r.n_frames)
+    y0, y1, y2 = segment[peak - 1, cols], segment[peak, cols], segment[peak + 1, cols]
+    denom = y0 - 2.0 * y1 + y2
+    offset = np.where(denom != 0, 0.5 * (y0 - y2) / np.where(denom == 0, 1.0, denom), 0.0)
+    trace = roi.first_bin + peak + offset
+    return trace - trace.mean()
+
+
 class TestEstimateDisplacement:
+    @pytest.mark.parametrize("n_bins", [256, 255])
+    def test_matches_scipy_hilbert_envelope(self, n_bins):
+        # even and odd lengths weight the spectrum differently (an even one
+        # keeps its Nyquist bin once)
+        scene = dataclasses.replace(single_target_scene(), n_bins=n_bins, noise_sigma=0.05)
+        r, _ = simulate(scene, seed=0)
+        roi = RangeROI(80, 120)
+        assert np.array_equal(estimate_displacement(r, roi), hilbert_displacement(r, roi))
+
     def test_sinusoid_amplitude_and_frequency(self):
         scene = single_target_scene(amplitude_bins=0.5)
         r, truth = simulate(scene, seed=0)
