@@ -276,11 +276,11 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
     group's windows run on the thread pool: each rotates its own copy of
     its frames with its own peak, gate and bandpass, and writes its kept
     frames into the group's stitched centre, which then replaces those
-    frames of the level; the row blocks of such a window run inline.  A
-    group of one window (a window longer than the cap) rotates its level
-    in place, with its row blocks on the pool.  So one group holds its
-    level, the analysis and synthesis spectra, the stitched centre and a
-    window copy per thread, whatever the record's length.
+    frames of the level.  The row blocks of a window run inline when its
+    group holds several windows, and on the pool when it holds one (a
+    window longer than the cap).  So one group holds its level, the
+    analysis and synthesis spectra, the stitched centre and a window copy
+    per thread, whatever the record's length.
     """
     length, shift = wspec.frames(r.fps)
     if r.n_frames < length:
@@ -301,15 +301,11 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
         lo, hi = bounds[group[0]], bounds[group[-1] + 1]
 
         def rotate(k: int, level: np.ndarray) -> None:
-            if len(group) == 1:   # no other window reads this level: no copies
-                _rotate_level(level, r.fps, cfg)
-                _check_finite(level, k, bank, first)
-                return
             centre = np.empty((level.shape[0], hi - lo), dtype=level.dtype)
 
             def rotate_window(i: int) -> None:
                 window = level[:, starts[i] - first : starts[i] - first + length].copy()
-                _rotate_level(window, r.fps, cfg, inline=True)
+                _rotate_level(window, r.fps, cfg, inline=len(group) > 1)
                 _check_finite(window, k, bank, starts[i])
                 centre[:, bounds[i] - lo : bounds[i + 1] - lo] = \
                     window[:, bounds[i] - starts[i] : bounds[i + 1] - starts[i]]

@@ -221,6 +221,20 @@ def per_window_magnify(r, bank, cfg, wspec):
     return r.with_data(out)
 
 
+def count_map_levels(monkeypatch) -> list:
+    """Patch magnify's map_levels to record the frames of each pass it makes."""
+    module = sys.modules["radarmag.magnify"]
+    passes = []
+    map_levels = module.map_levels
+
+    def counted_map_levels(signal, bank, op):
+        passes.append(signal.shape[1])
+        return map_levels(signal, bank, op)
+
+    monkeypatch.setattr(module, "map_levels", counted_map_levels)
+    return passes
+
+
 @pytest.fixture(scope="module")
 def short_scene():
     r, _ = simulate(validation_scene(duration_s=3.0), seed=0)
@@ -261,16 +275,18 @@ class TestMagnifyWindowed:
         module = sys.modules["radarmag.magnify"]
         monkeypatch.setattr(module, "BLOCK_ELEMENTS", 40 * 140)
         monkeypatch.setattr(module, "GROUP_ELEMENTS", 512 * 200)
-        passes = []
-        map_levels = module.map_levels
-
-        def counted_map_levels(signal, bank, op):
-            passes.append(signal.shape[1])
-            return map_levels(signal, bank, op)
-
-        monkeypatch.setattr(module, "map_levels", counted_map_levels)
+        passes = count_map_levels(monkeypatch)
         self.assert_matches_oracle(short_scene, WindowSpec(0.7, 0.3), 10.0)
         assert passes[:5] == [200, 200, 200, 200, 140]
+
+    def test_lone_window_groups_pool_their_row_blocks(self, short_scene, monkeypatch):
+        # 2 s windows at 1 s on 512 bins exceed the default group cap, so
+        # each group holds one window, whose row blocks run on the pool
+        module = sys.modules["radarmag.magnify"]
+        monkeypatch.setattr(module, "BLOCK_ELEMENTS", 40 * 400)
+        passes = count_map_levels(monkeypatch)
+        self.assert_matches_oracle(short_scene, WindowSpec(2.0, 1.0), 10.0)
+        assert passes[:2] == [400, 400]
 
     def test_too_few_frames_per_window(self, short_scene):
         with pytest.raises(ValueError, match="at least 4 frames, got 3"):
