@@ -17,7 +17,7 @@ import numpy as np
 
 from .gabor import GaborBank, decompose
 from .magnify import BandSpec, MagnifyConfig, dct_bandpass, magnify, unwrap_phase
-from .radargram import Radargram, RangeROI, WindowSpec, config_number, windows
+from .radargram import Radargram, RangeROI, WindowSpec, config_number
 
 log = logging.getLogger(__name__)
 
@@ -159,9 +159,10 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     frames, [start, start + length) / fps.
 
     With alpha = 0 the record is analysed once by level_signals.  alpha != 0
-    magnifies each window on its own (the band doubles as the magnification
-    passband) and analyses it with the same wspec, of which it holds exactly
-    one window, so that path decomposes every window.
+    cuts each window from the record when it comes to it, magnifies it on
+    its own (the band doubles as the magnification passband) and analyses
+    it with the same wspec, of which it holds exactly one window, so that
+    path decomposes every window.
 
     An invalid alpha, a record shorter than one window, an ROI beyond the
     record, and a band above Nyquist or with no DCT bin at the window
@@ -183,10 +184,13 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     if alpha == 0.0:
         series, skips = level_signals(r, bank, band, roi, wspec)
     else:
-        cut = [level_signals(magnify(window, bank, cfg), bank, band, roi, wspec)
-               for _, window in windows(r, wspec)]
-        series = np.concatenate([s for s, _ in cut], axis=1)
-        skips = [skip for _, (skip,) in cut]
+        # each window is cut from the record only when it is magnified
+        series, skips = np.empty((len(bank), len(starts), length)), []
+        for i, start in enumerate(starts):
+            window = r.with_data(r.data[:, start : start + length])
+            signals, (skip,) = level_signals(magnify(window, bank, cfg), bank, band, roi, wspec)
+            series[:, i] = signals[:, 0]
+            skips.append(skip)
     feats = np.concatenate([fft_peak_bpm(series, r.fps, band), zcr_hz(series, r.fps)])
     out = []
     for start, skip, row in zip(starts, skips, feats.T):

@@ -6,10 +6,11 @@ Gabor bank (gabor.map_levels): for each level it unwraps every bin's
 coefficient phase along slow time, gates it by amplitude, bandpasses it
 around the motion frequency, scales the result by alpha and rotates the
 coefficients by the scaled phase, then adds the level into the synthesis
-before forming the next.  The phase operation runs on row blocks of a
-level, on a thread pool when a level holds more than one block; windowed
-magnification runs one such loop per group of windows and the windows of
-a group on the pool.  Output
+before forming the next.  One phase operation, _rotate_windows,
+rotates a level's windows in place, on row blocks of the level and on a
+thread pool when there is more than one block: magnify gives it the whole
+record as one window, and windowed magnification runs one loop per group
+of windows and gives it the group's windows.  Output
 displacement corresponds to (1 + alpha) times the input displacement;
 alpha in [-1, 0) attenuates and alpha = -1 removes in-band motion entirely.
 """
@@ -157,14 +158,15 @@ def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
         phase[mixed] *= gaussian_filter1d(gate, sigma, axis=1, mode="nearest")
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may use."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 @cache
 def _pool() -> ThreadPoolExecutor:
-    """The module's thread pool, sized to the CPUs this process may use."""
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:
-        workers = os.cpu_count() or 1
-    return ThreadPoolExecutor(workers, thread_name_prefix="radarmag")
+    """The module's thread pool, one thread per CPU this process may use."""
+    return ThreadPoolExecutor(_cpus(), thread_name_prefix="radarmag")
 
 
 if hasattr(os, "register_at_fork"):
@@ -172,21 +174,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _map_blocks(fn, starts: range, inline: bool = False) -> list:
+def _map_blocks(fn, starts: range) -> list:
     """[fn(start) for start in starts], on the thread pool when there is more
-    than one block; a single block runs inline and starts no thread.  A
-    task already on the pool passes inline=True: waiting on the pool from
-    one of its own threads can deadlock."""
-    if inline or len(starts) <= 1:
+    than one block; a single block runs inline and starts no thread.  Only
+    the calling thread maps: fn never waits on the pool itself."""
+    if len(starts) <= 1:
         return [fn(start) for start in starts]
     return list(_pool().map(fn, starts))
 
 
-def _rotate_rows(level: np.ndarray, rows: np.ndarray, peak: float, fps: float,
-                 cfg: MagnifyConfig) -> None:
-    """Rotate the given rows of a level in place by alpha times their filtered
-    phase, gated and masked against the level's peak amplitude."""
-    block = level[rows]
+def _rotate_block(block: np.ndarray, peak: float, fps: float, cfg: MagnifyConfig) -> None:
+    """Rotate a block of rows (bins x frames) in place by alpha times their
+    filtered phase, gated and masked against their window's peak amplitude."""
     phase = unwrap_phase(np.angle(block))
     amplitude = np.abs(block)
     if peak > 0:
@@ -201,30 +200,52 @@ def _rotate_rows(level: np.ndarray, rows: np.ndarray, peak: float, fps: float,
     np.sin(filtered, out=rotation.imag)
     del filtered
     block *= rotation
-    level[rows] = block
 
 
-def _rotate_level(level: np.ndarray, fps: float, cfg: MagnifyConfig,
-                  inline: bool = False) -> None:
-    """Rotate one level (bins x frames) in place by alpha times its filtered phase.
+def _rotate_windows(level: np.ndarray, starts: list, length: int, bounds: list,
+                    fps: float, cfg: MagnifyConfig) -> None:
+    """Rotate windows of a level (bins x frames) in place by alpha times their
+    filtered phase, keeping window i's frames [bounds[i], bounds[i + 1]).
 
-    Every step runs along frames, row by row, except the level's peak
-    amplitude, which one pass over row blocks takes first.  A row whose
-    peak lies below the phase gate has its phase zeroed, hence rotates by
-    exactly 1, and is left untouched; the other rows are rotated in blocks
-    of about BLOCK_ELEMENTS coefficients on the module's thread pool, or
-    one after another with inline=True.  The result does not depend on the
-    block size or the number of threads.
+    Window i spans frames [starts[i], starts[i] + length) and has its own
+    peak, gate and bandpass.  One pass over row blocks takes every row's
+    peak in every window.  A row whose peak in a window lies below that
+    window's phase gate has its phase zeroed, hence rotates by exactly 1,
+    and is left untouched there; the rows live in any window are cut into
+    the fewest equal blocks of at most BLOCK_ELEMENTS coefficients over
+    all windows, and into at least as many as there are windows or CPUs,
+    whichever is fewer, on the module's thread pool.
+    A block owns its rows: it gathers and rotates them in every window
+    where they are live before it writes any kept frames back, so no block
+    reads what another one, or an earlier window of its own, has written.
+    The result does not depend on the block size or the number of
+    threads.
     """
     step = max(1, BLOCK_ELEMENTS // level.shape[1])
-    row_peak = np.concatenate(_map_blocks(
-        lambda lo: np.abs(level[lo : lo + step]).max(axis=1), range(0, level.shape[0], step),
-        inline))
-    peak = row_peak.max()
+
+    def window_peaks(lo: int) -> np.ndarray:
+        amplitude = np.abs(level[lo : lo + step])
+        return np.stack([amplitude[:, s : s + length].max(axis=1) for s in starts], axis=1)
+
+    row_peak = np.concatenate(_map_blocks(window_peaks, range(0, level.shape[0], step)))
+    peak = row_peak.max(axis=0)
     # ~(<) rather than >=, so that a NaN row is kept and unwrap_phase rejects it
-    live = np.flatnonzero(~(row_peak < PHASE_GATE_RATIO * peak))
-    _map_blocks(lambda lo: _rotate_rows(level, live[lo : lo + step], peak, fps, cfg),
-                range(0, len(live), step), inline)
+    live_in = ~(row_peak < PHASE_GATE_RATIO * peak)
+    live = np.flatnonzero(live_in.any(axis=1))
+    cap = max(1, BLOCK_ELEMENTS // (len(starts) * length))
+    blocks = max(min(len(starts), _cpus()), -(-len(live) // cap))
+    rows_per_block = max(1, -(-len(live) // blocks))
+
+    def rotate_block(lo: int) -> None:
+        rows = live[lo : lo + rows_per_block]
+        kept = [rows[keep] for keep in live_in[rows].T]
+        gathered = [level[r, s : s + length] for r, s in zip(kept, starts)]
+        for block, window_peak in zip(gathered, peak):
+            _rotate_block(block, window_peak, fps, cfg)
+        for r, block, s, a, b in zip(kept, gathered, starts, bounds, bounds[1:]):
+            level[r, a:b] = block[:, a - s : b - s]
+
+    _map_blocks(rotate_block, range(0, len(live), rows_per_block))
 
 
 def _check_finite(level: np.ndarray, k: int, bank: GaborBank, frame0: int = 0) -> None:
@@ -241,17 +262,18 @@ def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
     """Magnify in-band motion of a radargram by (1 + alpha).
 
     Streams the bank one level at a time through gabor.map_levels, so only
-    one level is held in memory.  With alpha = 0 every coefficient is
-    multiplied by exactly 1 and the output equals
-    reconstruct(decompose(data)) bit for bit: both run the same synthesis.
-    A non-finite rotated coefficient is a ValueError naming its level.
+    one level is held in memory; each level is rotated as one window of the
+    whole record.  With alpha = 0 every coefficient is multiplied by
+    exactly 1 and the output equals reconstruct(decompose(data)) bit for
+    bit: both run the same synthesis.  A non-finite rotated coefficient is
+    a ValueError naming its level.
     """
     if r.n_frames < 4:
         raise ValueError(f"need at least 4 frames, got {r.n_frames}")
     cfg.band.validate(r.fps)
 
     def rotate(k: int, level: np.ndarray) -> None:
-        _rotate_level(level, r.fps, cfg)
+        _rotate_windows(level, [0], r.n_frames, [0, r.n_frames], r.fps, cfg)
         _check_finite(level, k, bank)
 
     return r.with_data(map_levels(r.data, bank, rotate))
@@ -272,15 +294,11 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
     stitched level by level, before synthesis, with the same result.  The
     record is cut into frame groups of consecutive windows, each spanning
     at most about GROUP_ELEMENTS coefficients per level (at least one
-    window), and each group runs one gabor.map_levels pass.  Per level, the
-    group's windows run on the thread pool: each rotates its own copy of
-    its frames with its own peak, gate and bandpass, and writes its kept
-    frames into the group's stitched centre, which then replaces those
-    frames of the level.  The row blocks of a window run inline when its
-    group holds several windows, and on the pool when it holds one (a
-    window longer than the cap).  So one group holds its level, the
-    analysis and synthesis spectra, the stitched centre and a window copy
-    per thread, whatever the record's length.
+    window), and each group runs one gabor.map_levels pass.  Per level, one
+    _rotate_windows call rotates every window of the group in place, each
+    with its own peak, gate and bandpass, and keeps each window's centre.
+    So one group holds its level, the analysis and synthesis spectra and
+    the row blocks in flight, whatever the record's length.
     """
     length, shift = wspec.frames(r.fps)
     if r.n_frames < length:
@@ -296,25 +314,17 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
     per_group = max(1, (GROUP_ELEMENTS // r.n_bins - length) // shift + 1)
     out = np.empty_like(r.data)
     for g in range(0, len(starts), per_group):
-        group = range(g, min(g + per_group, len(starts)))
-        first = starts[group[0]]
-        lo, hi = bounds[group[0]], bounds[group[-1] + 1]
+        # the group's windows and their kept frames, counted from its first frame
+        first = starts[g]
+        group = [start - first for start in starts[g : g + per_group]]
+        cuts = [bound - first for bound in bounds[g : g + len(group) + 1]]
 
         def rotate(k: int, level: np.ndarray) -> None:
-            centre = np.empty((level.shape[0], hi - lo), dtype=level.dtype)
+            _rotate_windows(level, group, length, cuts, r.fps, cfg)
+            _check_finite(level, k, bank, first)
 
-            def rotate_window(i: int) -> None:
-                window = level[:, starts[i] - first : starts[i] - first + length].copy()
-                _rotate_level(window, r.fps, cfg, inline=len(group) > 1)
-                _check_finite(window, k, bank, starts[i])
-                centre[:, bounds[i] - lo : bounds[i + 1] - lo] = \
-                    window[:, bounds[i] - starts[i] : bounds[i + 1] - starts[i]]
-
-            _map_blocks(rotate_window, group)
-            level[:, lo - first : hi - first] = centre
-
-        end = starts[group[-1]] + length
-        out[:, lo:hi] = map_levels(r.data[:, first:end], bank, rotate)[:, lo - first : hi - first]
+        magnified = map_levels(r.data[:, first : first + group[-1] + length], bank, rotate)
+        out[:, first + cuts[0] : first + cuts[-1]] = magnified[:, cuts[0] : cuts[-1]]
     return r.with_data(out)
 
 

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -362,6 +363,25 @@ class TestRecordLevelFeaturize:
         rows = check_featurize_matches_oracle(record, default_bank(), WindowSpec(30.0, 10.0),
                                               RR_BAND, BREATHER_ROI, alpha=1.0, atol=0.0)
         assert len(rows) == 4
+
+    def test_magnified_memory_does_not_grow_with_record_length(self, record):
+        # each window is cut from the record only when it is magnified, so the
+        # traced peak grows with the record only by the windows' signals
+        bank = default_bank()
+        wspec = WindowSpec(30.0, 5.0)
+        featurize(record, bank, wspec, RR_BAND, BREATHER_ROI, alpha=1.0)   # warm caches
+        peaks = []
+        for repeats in (1, 4):
+            r = record.with_data(np.tile(record.data, repeats))
+            tracemalloc.start()
+            try:
+                rows = featurize(r, bank, wspec, RR_BAND, BREATHER_ROI, alpha=1.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert r.duration_s == 240.0 and len(rows) == 43
+        assert peaks[1] <= 1.25 * peaks[0], [f"{p / 2**20:.1f} MiB" for p in peaks]
 
     def test_one_decomposition_and_one_unwrap_per_level(self, record, monkeypatch):
         calls = {"decompose": []}

@@ -1,5 +1,7 @@
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
                       dct_bandpass, decompose, default_bank, global_magnify, magnify,
                       magnify_windowed, reconstruct, simulate, unwrap_phase, windows)
 from radarmag.magnify import (AMPLITUDE_MASK_RATIO, GATE_SMOOTH_S, PHASE_GATE_RATIO,
-                              _gate_phase, _rotate_level)
+                              _gate_phase, _rotate_windows)
 
 from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TRACK_SLICE, breather_scene,
                     displacement_p2p, magnify_bank, validation_scene)
@@ -268,10 +270,9 @@ class TestMagnifyWindowed:
         self.assert_matches_oracle(short_scene, WindowSpec(length_s, 1.0), 10.0)
 
     def test_small_blocks_and_groups(self, short_scene, monkeypatch):
-        # windows of several row blocks each run on the pool, whose blocks
-        # must then run inline (a pool task waiting on its own pool can
-        # deadlock), and a group cap of two 0.7:0.3 windows cuts the 3 s
-        # record's nine windows into five groups, one map_levels pass each
+        # every group level is cut into several row blocks over its windows,
+        # run on the pool, and a group cap of two 0.7:0.3 windows cuts the
+        # 3 s record's nine windows into five groups, one map_levels pass each
         module = sys.modules["radarmag.magnify"]
         monkeypatch.setattr(module, "BLOCK_ELEMENTS", 40 * 140)
         monkeypatch.setattr(module, "GROUP_ELEMENTS", 512 * 200)
@@ -287,6 +288,33 @@ class TestMagnifyWindowed:
         passes = count_map_levels(monkeypatch)
         self.assert_matches_oracle(short_scene, WindowSpec(2.0, 1.0), 10.0)
         assert passes[:2] == [400, 400]
+
+    def test_no_pool_task_maps_onto_the_pool(self, short_scene, monkeypatch):
+        # only the calling thread maps blocks onto the pool: a pool task that
+        # waited on the pool could deadlock it
+        class GuardedPool(ThreadPoolExecutor):
+            maps = 0
+
+            def map(self, fn, *iterables, **kwargs):
+                if threading.current_thread().name.startswith("radarmag"):
+                    raise RuntimeError("a pool task mapped onto the pool")
+                self.maps += 1
+                return super().map(fn, *iterables, **kwargs)
+
+        module = sys.modules["radarmag.magnify"]
+        pool = GuardedPool(2, thread_name_prefix="radarmag")
+        monkeypatch.setattr(module, "_pool", lambda: pool)
+        monkeypatch.setattr(module, "BLOCK_ELEMENTS", 40 * 140)
+        monkeypatch.setattr(module, "GROUP_ELEMENTS", 512 * 200)
+        cfg = MagnifyConfig(alpha=10.0, band=SCENE_BAND)
+        try:
+            magnify(short_scene, magnify_bank(), cfg)
+            assert pool.maps > 0
+            maps = pool.maps
+            magnify_windowed(short_scene, magnify_bank(), cfg, WindowSpec(0.7, 0.3))
+            assert pool.maps > maps
+        finally:
+            pool.shutdown()
 
     def test_too_few_frames_per_window(self, short_scene):
         with pytest.raises(ValueError, match="at least 4 frames, got 3"):
@@ -326,7 +354,7 @@ class TestMagnifyWindowed:
 
 def whole_level_rotation(level, fps, cfg):
     """The phase op over a whole level at once: the oracle of the row-blocked
-    _rotate_level, which must match it bit for bit."""
+    _rotate_windows, which must match it bit for bit."""
     phase = unwrap_phase(np.angle(level))
     amplitude = np.abs(level)
     peak = amplitude.max()
@@ -346,7 +374,8 @@ def whole_level_rotation(level, fps, cfg):
 
 def handmade_levels():
     """A level of zeros (peak 0); one row above the phase gate, one exactly at
-    it and the rest below; and a 1-row level."""
+    it and the rest below; a 1-row level; and a level with one row above the
+    gate in the first half of its frames only, one in the second half only."""
     rng = np.random.default_rng(5)
     n = 400
     turns = np.cumsum(rng.integers(0, 3, n)) % 4
@@ -355,7 +384,29 @@ def handmade_levels():
     gated[0] = 1000.0 * quarter_turns
     gated[3] = PHASE_GATE_RATIO * 1000.0 * quarter_turns[::-1]
     single = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
-    return {"zeros": np.zeros((5, n), complex), "gated": gated, "one-row": single}
+    moving = 1e-4 * np.exp(1j * rng.uniform(-np.pi, np.pi, (4, n)))
+    moving[0] = 1000.0 * quarter_turns
+    moving[1, : n // 2] *= 1e6
+    moving[2, n // 2 :] *= 1e6
+    return {"zeros": np.zeros((5, n), complex), "gated": gated, "one-row": single,
+            "moving": moving}
+
+
+def rotate_level(level, fps, cfg):
+    """_rotate_windows with the whole level as its one window, as magnify runs it."""
+    n = level.shape[1]
+    _rotate_windows(level, [0], n, [0, n], fps, cfg)
+
+
+def overlapping_windows(n):
+    """Windows over n frames at about 3/10 of n, shifted by 3/16 of n, plus a
+    tail window ending at frame n, each keeping its centre as in
+    magnify_windowed: (starts, length, bounds)."""
+    length, shift = 3 * n // 10, 3 * n // 16
+    starts = list(range(0, n - length + 1, shift))
+    starts.append(n - length)
+    margin = (length - shift) // 2
+    return starts, length, [0] + [start + margin for start in starts[1:]] + [n]
 
 
 class TestRotateLevel:
@@ -379,7 +430,22 @@ class TestRotateLevel:
     def assert_matches_oracle(level, fps, cfg):
         expected, actual = level.copy(), level.copy()
         whole_level_rotation(expected, fps, cfg)
-        _rotate_level(actual, fps, cfg)
+        rotate_level(actual, fps, cfg)
+        assert np.array_equal(actual, expected)
+
+    @staticmethod
+    def assert_windows_match_oracle(level, fps, cfg):
+        # each window rotated on its own copy by the whole-level op, and its
+        # centre stitched in; the windows overlap, so a block that wrote one
+        # window back before reading the next would rotate rotated frames
+        starts, length, bounds = overlapping_windows(level.shape[1])
+        assert len(starts) >= 4 and starts[-1] - starts[-2] < starts[1]
+        expected, actual = level.copy(), level.copy()
+        for start, lo, hi in zip(starts, bounds, bounds[1:]):
+            window = level[:, start : start + length].copy()
+            whole_level_rotation(window, fps, cfg)
+            expected[:, lo:hi] = window[:, lo - start : hi - start]
+        _rotate_windows(actual, starts, length, bounds, fps, cfg)
         assert np.array_equal(actual, expected)
 
     @pytest.mark.parametrize("alpha", [10.0, 50.0])
@@ -388,16 +454,26 @@ class TestRotateLevel:
         for level in decompose(scene_data.data, magnify_bank()).levels:
             self.assert_matches_oracle(level, scene_data.fps, cfg)
 
-    @pytest.mark.parametrize("name", ["zeros", "gated", "one-row"])
+    @pytest.mark.parametrize("name", ["zeros", "gated", "one-row", "moving"])
     def test_handmade_levels_match_whole_level_op(self, block_elements, name):
         level = handmade_levels()[name]
         self.assert_matches_oracle(level, 200.0, MagnifyConfig(alpha=10.0, band=SCENE_BAND))
+
+    def test_scene_windows_match_stitched_whole_window_op(self, scene_data, block_elements):
+        cfg = MagnifyConfig(alpha=10.0, band=SCENE_BAND)
+        for level in decompose(scene_data.data, magnify_bank()).levels:
+            self.assert_windows_match_oracle(level, scene_data.fps, cfg)
+
+    @pytest.mark.parametrize("name", ["zeros", "gated", "one-row", "moving"])
+    def test_handmade_windows_match_stitched_whole_window_op(self, block_elements, name):
+        level = handmade_levels()[name]
+        self.assert_windows_match_oracle(level, 200.0, MagnifyConfig(alpha=10.0, band=SCENE_BAND))
 
     def test_row_at_the_gate_is_rotated(self):
         # the row whose peak equals the gate exactly is gated, not skipped
         level = handmade_levels()["gated"]
         rotated = level.copy()
-        _rotate_level(rotated, 200.0, MagnifyConfig(alpha=10.0, band=SCENE_BAND))
+        rotate_level(rotated, 200.0, MagnifyConfig(alpha=10.0, band=SCENE_BAND))
         changed = ~np.isclose(rotated, level, rtol=1e-9, atol=0.0).all(axis=1)
         assert changed.tolist() == [True, False, False, True, False, False]
 
