@@ -201,7 +201,7 @@ def load_bank_config(path: str) -> GaborBank:
     try:
         return make_bank(wavelengths, sigmas=sigmas,
                          bandwidth_divisor=DEFAULT_BANDWIDTH_DIVISOR if divisor is None else divisor)
-    except ValueError as exc:
+    except (MemoryError, ValueError) as exc:   # e.g. a sigma of 1e17 bins cannot be sampled
         raise FormatError(f"{path}: {exc}") from None
 
 

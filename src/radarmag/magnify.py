@@ -6,13 +6,16 @@ Gabor bank (gabor.map_levels): for each level it unwraps every bin's
 coefficient phase along slow time, gates it by amplitude, bandpasses it
 around the motion frequency, scales the result by alpha and rotates the
 coefficients by the scaled phase, then adds the level into the synthesis
-before forming the next.  One phase operation, _rotate_windows,
-rotates a level's windows in place, on row blocks of the level and on a
-thread pool when there is more than one block: magnify gives it the whole
-record as one window, and windowed magnification runs one loop per group
-of windows and gives it the group's windows.  Output
-displacement corresponds to (1 + alpha) times the input displacement;
-alpha in [-1, 0) attenuates and alpha = -1 removes in-band motion entirely.
+before forming the next.  One driver, magnify_windowed, runs every
+magnification: it cuts the record into windows (a record shorter than one
+window is one window clipped to it) and the windows into frame groups,
+and runs one such loop per group, in which one phase operation,
+_rotate_windows, rotates the group's windows of a level in place, on row
+blocks and on a thread pool when there is more than one block.  magnify
+is its one-window case, a window spanning the record, whose single group's
+output is returned uncopied.  Output displacement corresponds to
+(1 + alpha) times the input displacement; alpha in [-1, 0) attenuates
+and alpha = -1 removes in-band motion entirely.
 """
 
 from __future__ import annotations
@@ -134,9 +137,10 @@ def dct_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1)
     keep[band.dct_bins(n, fps)] = 1.0
     shape = [1] * x.ndim
     shape[axis % x.ndim] = -1
-    coefficients = sfft.dct(x, type=2, axis=axis, workers=-1)
+    # no scipy workers: the phase op runs this on its pool's threads, one per CPU
+    coefficients = sfft.dct(x, type=2, axis=axis)
     coefficients *= keep.reshape(shape)
-    return sfft.idct(coefficients, type=2, axis=axis, overwrite_x=True, workers=-1)
+    return sfft.idct(coefficients, type=2, axis=axis, overwrite_x=True)
 
 
 def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
@@ -248,7 +252,7 @@ def _rotate_windows(level: np.ndarray, starts: list, length: int, bounds: list,
     _map_blocks(rotate_block, range(0, len(live), rows_per_block))
 
 
-def _check_finite(level: np.ndarray, k: int, bank: GaborBank, frame0: int = 0) -> None:
+def _check_finite(level: np.ndarray, k: int, bank: GaborBank, frame0: int) -> None:
     """ValueError naming level k, the bin and the record frame (frame0 plus
     the column) of the first non-finite coefficient, if there is one."""
     if not np.isfinite(level).all():
@@ -261,30 +265,24 @@ def _check_finite(level: np.ndarray, k: int, bank: GaborBank, frame0: int = 0) -
 def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
     """Magnify in-band motion of a radargram by (1 + alpha).
 
-    Streams the bank one level at a time through gabor.map_levels, so only
-    one level is held in memory; each level is rotated as one window of the
-    whole record.  With alpha = 0 every coefficient is multiplied by
-    exactly 1 and the output equals reconstruct(decompose(data)) bit for
-    bit: both run the same synthesis.  A non-finite rotated coefficient is
-    a ValueError naming its level.
+    Windowed magnification with one window spanning the whole record: one
+    gabor.map_levels pass streams the bank a level at a time, so only one
+    level is held in memory, and its output is the result, uncopied.  With
+    alpha = 0 every coefficient is multiplied by exactly 1 and the output
+    equals reconstruct(decompose(data)) bit for bit: both run the same
+    synthesis.  A non-finite rotated coefficient is a ValueError naming
+    its level.
     """
-    if r.n_frames < 4:
-        raise ValueError(f"need at least 4 frames, got {r.n_frames}")
-    cfg.band.validate(r.fps)
-
-    def rotate(k: int, level: np.ndarray) -> None:
-        _rotate_windows(level, [0], r.n_frames, [0, r.n_frames], r.fps, cfg)
-        _check_finite(level, k, bank)
-
-    return r.with_data(map_levels(r.data, bank, rotate))
+    return magnify_windowed(r, bank, cfg, WindowSpec(r.duration_s, r.duration_s))
 
 
 def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
                      wspec: WindowSpec) -> Radargram:
-    """Window-at-a-time magnification for long records.
+    """Window-at-a-time magnification, the one driver of every magnification.
 
     Windows start at wspec.starts, plus one window ending at the last frame
-    when those stop short of it.  Each window is magnified on its own and
+    when those stop short of it; a record shorter than one window is one
+    window clipped to the record.  Each window is magnified on its own and
     window i keeps frames [start_i + margin, start_{i+1} + margin), the
     centre of the window (overlap-discard stitching), which keeps filter
     edge transients out of the result; the first window keeps from frame 0
@@ -298,22 +296,24 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
     _rotate_windows call rotates every window of the group in place, each
     with its own peak, gate and bandpass, and keeps each window's centre.
     So one group holds its level, the analysis and synthesis spectra and
-    the row blocks in flight, whatever the record's length.
+    the row blocks in flight, whatever the record's length.  A run of one
+    group returns its pass's output as it is; only several groups are
+    stitched into a record-sized buffer.
     """
     length, shift = wspec.frames(r.fps)
-    if r.n_frames < length:
-        return magnify(r, bank, cfg)
+    length = min(length, r.n_frames)
     if length < 4:
         raise ValueError(f"need at least 4 frames, got {length}")
     cfg.band.validate(r.fps)
-    starts = list(wspec.starts(r.n_frames, r.fps))
+    starts = list(wspec.starts(r.n_frames, r.fps)) or [0]
     if starts[-1] + length < r.n_frames:
         starts.append(r.n_frames - length)
     margin = (length - shift) // 2
     bounds = [0] + [start + margin for start in starts[1:]] + [r.n_frames]
     per_group = max(1, (GROUP_ELEMENTS // r.n_bins - length) // shift + 1)
-    out = np.empty_like(r.data)
-    for g in range(0, len(starts), per_group):
+    groups = range(0, len(starts), per_group)
+    out = np.empty_like(r.data) if len(groups) > 1 else None
+    for g in groups:
         # the group's windows and their kept frames, counted from its first frame
         first = starts[g]
         group = [start - first for start in starts[g : g + per_group]]
@@ -324,6 +324,8 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
             _check_finite(level, k, bank, first)
 
         magnified = map_levels(r.data[:, first : first + group[-1] + length], bank, rotate)
+        if out is None:
+            return r.with_data(magnified)
         out[:, first + cuts[0] : first + cuts[-1]] = magnified[:, cuts[0] : cuts[-1]]
     return r.with_data(out)
 

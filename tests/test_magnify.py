@@ -261,13 +261,37 @@ class TestMagnifyWindowed:
     def test_matches_per_window_oracle(self, short_scene, wspec, alpha):
         self.assert_matches_oracle(short_scene, wspec, alpha)
 
-    @pytest.mark.parametrize("length_s", [3.0, 2.9, 3.5],
-                             ids=["one-window", "one-window-and-tail", "record-shorter"])
+    @pytest.mark.parametrize("length_s", [3.0, 2.9, 3.5, 6.0],
+                             ids=["one-window", "one-window-and-tail", "record-shorter",
+                                  "record-half-a-window"])
     def test_records_of_about_one_window(self, short_scene, length_s):
         # a record of exactly one window is one group of one window, a
-        # slightly longer one adds the tail window, and a shorter one is
-        # magnified whole
+        # slightly longer one adds the tail window, and a shorter one is one
+        # window clipped to the record: the whole-record window of magnify
         self.assert_matches_oracle(short_scene, WindowSpec(length_s, 1.0), 10.0)
+        if length_s >= short_scene.duration_s:
+            cfg = MagnifyConfig(alpha=10.0, band=SCENE_BAND)
+            assert np.array_equal(
+                magnify(short_scene, magnify_bank(), cfg).data,
+                magnify_windowed(short_scene, magnify_bank(), cfg, WindowSpec(length_s, 1.0)).data)
+
+    @pytest.mark.parametrize("wspec", [None, WindowSpec(3.0, 1.0)], ids=["whole", "one-window"])
+    def test_one_group_returns_its_pass_uncopied(self, short_scene, monkeypatch, wspec):
+        # a run of one group hands back map_levels' output: no stitched
+        # buffer, no record-sized copy
+        module = sys.modules["radarmag.magnify"]
+        outputs = []
+        map_levels = module.map_levels
+
+        def recorded_map_levels(signal, bank, op):
+            outputs.append(map_levels(signal, bank, op))
+            return outputs[-1]
+
+        monkeypatch.setattr(module, "map_levels", recorded_map_levels)
+        cfg = MagnifyConfig(alpha=10.0, band=SCENE_BAND)
+        out = (magnify(short_scene, magnify_bank(), cfg) if wspec is None
+               else magnify_windowed(short_scene, magnify_bank(), cfg, wspec))
+        assert len(outputs) == 1 and np.shares_memory(out.data, outputs[0])
 
     def test_small_blocks_and_groups(self, short_scene, monkeypatch):
         # every group level is cut into several row blocks over its windows,

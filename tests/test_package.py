@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -67,3 +68,33 @@ def test_forked_child_gets_its_own_pool():
         "    os._exit(0)\n"
         "print(os.waitpid(pid, 0)[1])\n")
     assert out.strip() == "0"
+
+
+def test_no_unused_imports_or_private_names():
+    # a stdlib stand-in for a linter: every module uses each name it imports
+    # (or marks the import # noqa: F401) and references each private
+    # function, class or module-level assignment it defines
+    package = os.path.dirname(radarmag.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            source = fh.read()
+        lines, tree = source.splitlines(), ast.parse(source)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        loaded |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for node in ast.walk(tree):
+            defined = []
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                if not any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+                    defined = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name] if node.name.startswith("_") else []
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node in tree.body:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name) and t.id.startswith("_")]
+            found += [f"{name}:{node.lineno}: {bound} is never used" for bound in defined
+                      if bound not in loaded and not bound.startswith("__")]
+    assert found == []

@@ -555,3 +555,19 @@ class TestConfigFilesRejectBadInput:
         write_scene(path, ("", "n_bins"), "n_bins", repr(n_bins))
         code, err = run_cli(["simulate", str(path), "-o", str(config_dir / "x.rgrm")])
         assert code == 1 and len(err) == 1 and err[0].startswith(f"error: {path}: "), (code, err)
+
+    # a kernel sampled out to 4 sigma of 1e17 bins, or of a 1e18-bin wavelength
+    # over the default divisor, needs more than 2**57 bytes, so the bank fails
+    # at allocation on any host and never touches memory
+    @pytest.mark.parametrize("text", ["level = 16:1e17\n", "wavelengths = 1e18, 8\n"],
+                             ids=["level-sigma", "wavelength"])
+    @pytest.mark.parametrize("command", ["magnify", "features"])
+    def test_bank_too_large_to_allocate(self, config_dir, command, text):
+        path = config_dir / "bank.cfg"
+        path.write_text(text)
+        out = str(config_dir / "x.out")
+        argv = {"magnify": ["magnify", str(config_dir / "scene.rgrm"), out],
+                "features": ["features", str(config_dir / "scene.rgrm"), "-o", out,
+                             "--window", "1:0.5", "--roi", "5:20"]}[command]
+        code, err = run_cli(argv + ["--alpha", "1", "--band", "0.5:2", "--bank", str(path)])
+        assert code == 1 and len(err) == 1 and err[0].startswith(f"error: {path}: "), (code, err)
