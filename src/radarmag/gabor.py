@@ -14,12 +14,20 @@ displacement.  Summing the levels after convolving each one again with its
 own kernel concentrates every level's net response into a non-negative
 |Psi|^2, and dividing by the aggregate response in the frequency domain
 restores unit gain.
+
+Analysis and synthesis act on each frame (column) alone.  map_levels and
+reconstruct therefore run them in column blocks of about COLUMN_ELEMENTS
+coefficients on the module's thread pool, so each block's passes stay in
+cache and no array with a transform's worth of rows spans the record.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -35,6 +43,37 @@ RESPONSE_FLOOR_RATIO = 1e-6
 # Below about 0.03 bins a kernel samples to one bin anyway, and below about
 # 1e-77 its 1/sigma**2 gain overflows the squared synthesis response.
 MIN_SIGMA = 1e-3
+
+# Coefficients per column block of map_levels' and reconstruct's analysis
+# and synthesis (89 frames at a 729-point transform): a block's transform
+# scratch is 1 MiB, so its passes run in cache.
+COLUMN_ELEMENTS = 2**16
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may use."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    """The package's thread pool, one thread per CPU this process may use."""
+    return ThreadPoolExecutor(_cpus(), thread_name_prefix="radarmag")
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads; it makes its own
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map_blocks(fn, starts: range) -> list:
+    """[fn(start) for start in starts], on the thread pool when there is more
+    than one block; a single block runs inline and starts no thread.  Only
+    the calling thread maps: fn never waits on the pool itself, and runs
+    scipy's FFTs without workers, so there is one layer of threads."""
+    if len(starts) <= 1:
+        return [fn(start) for start in starts]
+    return list(_pool().map(fn, starts))
 
 
 @dataclass(frozen=True)
@@ -207,7 +246,8 @@ def load_bank_config(path: str) -> GaborBank:
 
 def _analysis_input(signal: np.ndarray, bank: GaborBank):
     """Validated float64 signal, its Hermitian half spectrum, and the bank's
-    responses at its transform length."""
+    responses at its transform length.  A transform too large to allocate
+    is a ValueError naming the widest level and the transform length."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected 1-D profile or 2-D radargram matrix, got shape {x.shape}")
@@ -215,8 +255,17 @@ def _analysis_input(signal: np.ndarray, bank: GaborBank):
         raise ValueError("signal contains non-finite samples")
     if x.shape[0] == 0:
         raise ValueError("signal has no samples")
-    psis = bank.freq_responses(bank.transform_length(x.shape[0]))
-    return x, sfft.rfft(x, n=psis.shape[1], axis=0, workers=-1), psis
+    m = bank.transform_length(x.shape[0])
+    try:
+        psis = bank.freq_responses(m)
+        half = sfft.rfft(x, n=m, axis=0, workers=-1)
+    except MemoryError:
+        widest = max(bank.levels, key=lambda p: p.support_radius)
+        raise ValueError(
+            f"out of memory: the level of wavelength {widest.wavelength} and sigma {widest.sigma} "
+            f"(radius {widest.support_radius} bins) needs a {m}-point transform "
+            f"of {x.shape[0]}-sample profiles") from None
+    return x, half, psis
 
 
 def _column(v: np.ndarray, ndim: int) -> np.ndarray:
@@ -224,8 +273,21 @@ def _column(v: np.ndarray, ndim: int) -> np.ndarray:
     return v.reshape((-1,) + (1,) * (ndim - 1))
 
 
-def _analyze_level(half: np.ndarray, psi: np.ndarray, buf: np.ndarray) -> None:
-    """Write one level into buf (m rows; the level is rows [:n]) in place.
+def _as_columns(a: np.ndarray) -> np.ndarray:
+    """A 2-D view of a's columns: a 1-D profile is one column."""
+    return a.reshape(a.shape[0], -1)
+
+
+def _map_columns(fn, m: int, width: int) -> None:
+    """fn(cols) for slices cols cutting width columns into blocks of about
+    COLUMN_ELEMENTS coefficients at transform length m, on the thread pool."""
+    step = max(1, COLUMN_ELEMENTS // m)
+    _map_blocks(lambda start: fn(slice(start, start + step)), range(0, width, step))
+
+
+def _level_spectrum(half: np.ndarray, psi: np.ndarray, buf: np.ndarray) -> None:
+    """Write the spectrum of one level into buf (m rows) in place: its
+    inverse FFT along axis 0 is the level, whose rows [:n] are kept.
 
     The full spectrum of the real signal is rebuilt from its half as the
     product is formed, so no full-length copy of the input spectrum exists.
@@ -235,39 +297,85 @@ def _analyze_level(half: np.ndarray, psi: np.ndarray, buf: np.ndarray) -> None:
     tail = buf[h:]
     np.conjugate(half[m - h : 0 : -1], out=tail)
     tail *= _column(psi[h:], buf.ndim)
-    sfft.ifft(buf, axis=0, overwrite_x=True, workers=-1)
 
 
-def _synthesize(psis: np.ndarray, n: int, frames: tuple, fill) -> np.ndarray:
-    """Collapse the levels that fill(k, buf) writes into rows [:n] of an
-    m-row buffer back to an n-row real signal.
+def _analysed_levels(half: np.ndarray, psis: np.ndarray, shape: tuple, op):
+    """Yield every level of the signal of the given shape whose half
+    spectrum is half, after op(k, level) has modified level k in place.
+
+    One n-row level array is reused for every level.  Each column block of
+    it is formed in an m-row scratch, on the thread pool, and keeps rows
+    [:n].  The generator holds half and the level until its last level has
+    been taken, and frees them when it finishes.
+    """
+    n, m = shape[0], psis.shape[1]
+    level = np.empty(shape, dtype=np.complex128)
+    columns, half_columns = _as_columns(level), _as_columns(half)
+    for k, psi in enumerate(psis):
+        def analyse(cols: slice) -> None:
+            block = half_columns[:, cols]
+            scratch = np.empty((m, block.shape[1]), dtype=np.complex128)
+            _level_spectrum(block, psi, scratch)
+            sfft.ifft(scratch, axis=0, overwrite_x=True)
+            columns[:, cols] = scratch[:n]
+
+        _map_columns(analyse, m, columns.shape[1])
+        op(k, level)
+        yield level
+
+
+def _synthesize(psis: np.ndarray, n: int, frames: tuple, levels) -> np.ndarray:
+    """Collapse levels, an iterable of n-row arrays shaped (n,) + frames,
+    back to an n-row real signal.
 
     Each level is zero-padded, transformed, filtered again by its own
     kernel, and added together with its conjugate mirror, so the sum is the
     half spectrum of a real signal.  It is divided once by the symmetrized
     aggregate response N + N(-xi), floored at RESPONSE_FLOOR_RATIO of its
     maximum so uncovered frequencies are attenuated instead of amplified.
+    Both steps run per column block on the thread pool: a level's block
+    goes through an m-row scratch of its own, and each block's inverse is
+    written straight into the n-row output.  The last level is let go
+    before the inverse, so an iterable that alone holds its levels (and
+    their input) has freed them by then.
     """
     m = psis.shape[1]
     h = m // 2 + 1
-    acc = np.zeros((h,) + frames, dtype=np.complex128)
-    buf = np.empty((m,) + frames, dtype=np.complex128)
-    for k, psi in enumerate(psis):
-        fill(k, buf)
-        buf[n:] = 0.0
-        sfft.fft(buf, axis=0, overwrite_x=True, workers=-1)
-        buf *= _column(psi, buf.ndim)
-        acc += buf[:h]
-        acc[0] += np.conj(buf[0])
-        # value at -xi lives at index (m - j) % m
-        mirror = buf[m - h + 1 :]
-        acc[1:] += np.conjugate(mirror, out=mirror)[::-1]
+    width = math.prod(frames)
+    acc = np.zeros((h, width), dtype=np.complex128)
+    for k, level in enumerate(levels):
+        columns, psi = _as_columns(level), _column(psis[k], 2)
+
+        def add(cols: slice) -> None:
+            block = columns[:, cols]
+            buf = np.empty((m, block.shape[1]), dtype=np.complex128)
+            buf[:n] = block
+            buf[n:] = 0.0
+            sfft.fft(buf, axis=0, overwrite_x=True)
+            buf *= psi
+            spectrum = acc[:, cols]
+            spectrum += buf[:h]
+            spectrum[0] += np.conj(buf[0])
+            # value at -xi lives at index (m - j) % m
+            mirror = buf[m - h + 1 :]
+            spectrum[1:] += np.conjugate(mirror, out=mirror)[::-1]
+
+        _map_columns(add, m, width)
+    del level, columns   # the last level goes before the output is allocated
     response = np.sum(np.abs(psis) ** 2, axis=0)
     response = response + np.roll(response[::-1], 1)
     floor = RESPONSE_FLOOR_RATIO * response.max()
-    acc /= _column(np.maximum(response[:h], floor), acc.ndim)
-    out = sfft.irfft(acc, m, axis=0, overwrite_x=True, workers=-1)
-    return out[:n].copy()
+    gain = _column(np.maximum(response[:h], floor), 2)
+    out = np.empty((n,) + frames)
+    out_columns = _as_columns(out)
+
+    def invert(cols: slice) -> None:
+        spectrum = acc[:, cols]
+        spectrum /= gain
+        out_columns[:, cols] = sfft.irfft(spectrum, m, axis=0)[:n]
+
+    _map_columns(invert, m, width)
+    return out
 
 
 def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
@@ -283,7 +391,9 @@ def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
     # are written after it.
     flat = np.empty((len(psis) * n + m - n,) + x.shape[1:], dtype=np.complex128)
     for k, psi in enumerate(psis):
-        _analyze_level(half, psi, flat[k * n : k * n + m])
+        buf = flat[k * n : k * n + m]
+        _level_spectrum(half, psi, buf)
+        sfft.ifft(buf, axis=0, overwrite_x=True, workers=-1)
     return Pyramid(levels=tuple(flat[k * n : (k + 1) * n] for k in range(len(psis))), bank=bank)
 
 
@@ -291,21 +401,19 @@ def map_levels(signal: np.ndarray, bank: GaborBank, op) -> np.ndarray:
     """Analyse, modify and resynthesize a signal one pyramid level at a time.
 
     For each level k, op(k, level) receives the complex coefficients
-    (shaped like the signal) and modifies them in place.  This is the
-    analysing fill of _synthesize: each level is added into the synthesis
-    spectrum before the next one is formed, so only one level, the input
-    half spectrum and the synthesis half spectrum are held at once.  An op
-    that leaves its level unchanged returns exactly
+    (shaped like the signal) and modifies them in place; it runs on the
+    calling thread.  Each level is formed, column block by column block on
+    the thread pool, into one n-row level array and added into the
+    synthesis spectrum before the next one is formed, so only one level,
+    the input half spectrum and the synthesis half spectrum are held at
+    once, and only the synthesis spectrum and the output at the final
+    inverse.  An op that leaves its level unchanged returns exactly
     reconstruct(decompose(signal, bank)).
     """
     x, half, psis = _analysis_input(signal, bank)
-    n = x.shape[0]
-
-    def fill(k, buf):
-        _analyze_level(half, psis[k], buf)
-        op(k, buf[:n])
-
-    return _synthesize(psis, n, x.shape[1:], fill)
+    levels = _analysed_levels(half, psis, x.shape, op)
+    del half   # the generator now holds the only reference
+    return _synthesize(psis, x.shape[0], x.shape[1:], levels)
 
 
 def decompose_direct(signal: np.ndarray, bank: GaborBank) -> Pyramid:
@@ -325,11 +433,7 @@ def decompose_direct(signal: np.ndarray, bank: GaborBank) -> Pyramid:
 
 def reconstruct(pyr: Pyramid) -> np.ndarray:
     """Collapse a pyramid back to a real profile or radargram matrix through
-    the bank that built it: the copying fill of _synthesize."""
+    the bank that built it, by the synthesis map_levels runs."""
     n = pyr.levels[0].shape[0]
     psis = pyr.bank.freq_responses(pyr.bank.transform_length(n))
-
-    def fill(k, buf):
-        buf[:n] = pyr.levels[k]
-
-    return _synthesize(psis, n, pyr.levels[0].shape[1:], fill)
+    return _synthesize(psis, n, pyr.levels[0].shape[1:], pyr.levels)

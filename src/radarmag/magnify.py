@@ -20,10 +20,7 @@ and alpha = -1 removes in-band motion entirely.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -31,7 +28,7 @@ from scipy.ndimage import gaussian_filter1d
 
 # decompose is not called here; it stays bound in this module because the
 # benchmark self-test (perfbench/selftest.py) checks its tracing wrapper here.
-from .gabor import GaborBank, decompose, map_levels  # noqa: F401
+from .gabor import GaborBank, _cpus, _map_blocks, decompose, map_levels  # noqa: F401
 from .radargram import Radargram, WindowSpec
 
 # Filtered phase is zeroed at coefficients below this fraction of the level's
@@ -162,31 +159,6 @@ def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
         phase[mixed] *= gaussian_filter1d(gate, sigma, axis=1, mode="nearest")
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may use."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@cache
-def _pool() -> ThreadPoolExecutor:
-    """The module's thread pool, one thread per CPU this process may use."""
-    return ThreadPoolExecutor(_cpus(), thread_name_prefix="radarmag")
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has none of the pool's threads; it makes its own
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _map_blocks(fn, starts: range) -> list:
-    """[fn(start) for start in starts], on the thread pool when there is more
-    than one block; a single block runs inline and starts no thread.  Only
-    the calling thread maps: fn never waits on the pool itself."""
-    if len(starts) <= 1:
-        return [fn(start) for start in starts]
-    return list(_pool().map(fn, starts))
-
-
 def _rotate_block(block: np.ndarray, peak: float, fps: float, cfg: MagnifyConfig) -> None:
     """Rotate a block of rows (bins x frames) in place by alpha times their
     filtered phase, gated and masked against their window's peak amplitude."""
@@ -218,7 +190,7 @@ def _rotate_windows(level: np.ndarray, starts: list, length: int, bounds: list,
     and is left untouched there; the rows live in any window are cut into
     the fewest equal blocks of at most BLOCK_ELEMENTS coefficients over
     all windows, and into at least as many as there are windows or CPUs,
-    whichever is fewer, on the module's thread pool.
+    whichever is fewer, on the package's thread pool (gabor._pool).
     A block owns its rows: it gathers and rotates them in every window
     where they are live before it writes any kept frames back, so no block
     reads what another one, or an earlier window of its own, has written.

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,8 @@ from radarmag import (DEFAULT_WAVELENGTHS, FormatError, GaborBank, GaborParams, 
                       decompose_direct, default_bank, dyadic_bank, load_bank_config,
                       make_bank, make_gabor, reconstruct)
 from radarmag.gabor import map_levels
+
+from scenes import magnify_bank
 
 BANK = default_bank()
 SUPPORT = 2 * BANK.max_radius + 1
@@ -290,3 +295,39 @@ class TestReconstruct:
         assert np.max(np.abs(full.imag)) < 1e-12 * max(1.0, np.max(np.abs(full.real)))
         assert np.max(np.abs(reconstruct(pyr) - full.real)) < 1e-12
 
+
+
+def scale_levels(k, level):
+    """A level op that changes every coefficient, by a factor of its level."""
+    level *= 1.0 + 0.25j * k
+
+
+class TestColumnBlocks:
+    """map_levels and reconstruct run analysis and synthesis in column blocks,
+    which act on each frame alone, so the block width changes no bit."""
+
+    @pytest.mark.parametrize("shape", [(200,), (200, 1), (200, 45)])
+    def test_block_width_does_not_change_results(self, shape, monkeypatch):
+        x = np.random.default_rng(11).standard_normal(shape)
+        expected = map_levels(x, BANK, scale_levels), reconstruct(decompose(x, BANK))
+        m = BANK.transform_length(shape[0])
+        assert 45 * m <= sys.modules["radarmag.gabor"].COLUMN_ELEMENTS   # one block by default
+        for columns in (1, 7):   # 7 does not divide 45 frames
+            monkeypatch.setattr(sys.modules["radarmag.gabor"], "COLUMN_ELEMENTS", columns * m)
+            actual = map_levels(x, BANK, scale_levels), reconstruct(decompose(x, BANK))
+            assert all(np.array_equal(a, e) for a, e in zip(actual, expected))
+
+    def test_identity_op_peak_memory(self):
+        # one n-row level, the input and synthesis half spectra and the blocks
+        # in flight: about 5.2 times the output's bytes on 512 x 2000, where
+        # an m-row level buffer and an m-row inverse took 8.1 times
+        x = np.random.default_rng(12).standard_normal((512, 2000))
+        bank = magnify_bank()
+        map_levels(x[:, :100], bank, lambda k, level: None)   # responses and FFT plans
+        tracemalloc.start()
+        try:
+            out = map_levels(x, bank, lambda k, level: None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * out.nbytes, f"traced peak {peak / out.nbytes:.2f}x the output"

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
                       dct_bandpass, decompose, default_bank, global_magnify, magnify,
@@ -315,7 +316,8 @@ class TestMagnifyWindowed:
 
     def test_no_pool_task_maps_onto_the_pool(self, short_scene, monkeypatch):
         # only the calling thread maps blocks onto the pool: a pool task that
-        # waited on the pool could deadlock it
+        # waited on the pool could deadlock it; and no FFT on a pool thread
+        # passes scipy workers, so no threads nest inside the pool's
         class GuardedPool(ThreadPoolExecutor):
             maps = 0
 
@@ -325,9 +327,25 @@ class TestMagnifyWindowed:
                 self.maps += 1
                 return super().map(fn, *iterables, **kwargs)
 
-        module = sys.modules["radarmag.magnify"]
+        pooled_ffts = set()
+
+        def guard(name):
+            transform = getattr(scipy.fft, name)
+
+            def guarded(*args, **kwargs):
+                if threading.current_thread().name.startswith("radarmag"):
+                    if "workers" in kwargs:
+                        raise RuntimeError(f"scipy.fft.{name} on a pool thread passed workers")
+                    pooled_ffts.add(name)
+                return transform(*args, **kwargs)
+            return guarded
+
+        for name in ("fft", "ifft", "irfft", "dct", "idct"):
+            monkeypatch.setattr(scipy.fft, name, guard(name))
+        gabor, module = sys.modules["radarmag.gabor"], sys.modules["radarmag.magnify"]
         pool = GuardedPool(2, thread_name_prefix="radarmag")
-        monkeypatch.setattr(module, "_pool", lambda: pool)
+        monkeypatch.setattr(gabor, "_pool", lambda: pool)
+        monkeypatch.setattr(gabor, "COLUMN_ELEMENTS", 2**14)
         monkeypatch.setattr(module, "BLOCK_ELEMENTS", 40 * 140)
         monkeypatch.setattr(module, "GROUP_ELEMENTS", 512 * 200)
         cfg = MagnifyConfig(alpha=10.0, band=SCENE_BAND)
@@ -339,6 +357,23 @@ class TestMagnifyWindowed:
             assert pool.maps > maps
         finally:
             pool.shutdown()
+        assert pooled_ffts == {"fft", "ifft", "irfft", "dct", "idct"}
+
+    @pytest.mark.parametrize("columns", [1, 7], ids=["one-column", "seven-columns"])
+    def test_column_blocks_do_not_change_results(self, short_scene, monkeypatch, columns):
+        # gabor's column blocks of one frame, or of 7 frames, which divide
+        # neither the record's 600 frames nor a 1:0.5 group's 500 or 200
+        bank = magnify_bank()
+        cfg = MagnifyConfig(alpha=10.0, band=SCENE_BAND)
+
+        def run():
+            return (magnify(short_scene, bank, cfg).data,
+                    magnify_windowed(short_scene, bank, cfg, WindowSpec(1.0, 0.5)).data)
+
+        expected = run()
+        monkeypatch.setattr(sys.modules["radarmag.gabor"], "COLUMN_ELEMENTS",
+                            columns * bank.transform_length(short_scene.n_bins))
+        assert all(np.array_equal(a, e) for a, e in zip(run(), expected))
 
     def test_too_few_frames_per_window(self, short_scene):
         with pytest.raises(ValueError, match="at least 4 frames, got 3"):

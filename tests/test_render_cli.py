@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
+import re
 import struct
+import subprocess
 import sys
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import radarmag
 from radarmag import (Dataset, FeatureRow, Radargram, default_bank, feature_names, fit_ols,
                       fit_rf, load_radargram, read_ppm, render_heatmap, save_model,
                       save_radargram, simulate, write_features_csv, write_ppm)
@@ -571,3 +575,35 @@ class TestConfigFilesRejectBadInput:
                              "--window", "1:0.5", "--roi", "5:20"]}[command]
         code, err = run_cli(argv + ["--alpha", "1", "--band", "0.5:2", "--bank", str(path)])
         assert code == 1 and len(err) == 1 and err[0].startswith(f"error: {path}: "), (code, err)
+
+    # a 2e5-bin sigma builds its kernel (radius 8e5 bins, tens of MB), but the
+    # record's transform, padded by that radius, needs more than a GB; the
+    # command runs in a child whose address space is capped 512 MiB above
+    # its size after import, so the allocation fails on any host and never
+    # touches memory
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    @pytest.mark.parametrize("command", ["magnify", "features"])
+    def test_bank_too_wide_for_the_record(self, config_dir, command):
+        path = config_dir / "wide_bank.cfg"
+        path.write_text("level = 16:2e5\n")
+        out = str(config_dir / "x.out")
+        argv = {"magnify": ["magnify", str(config_dir / "scene.rgrm"), out],
+                "features": ["features", str(config_dir / "scene.rgrm"), "-o", out,
+                             "--window", "1:0.5", "--roi", "5:20"]}[command]
+        probe = ("import resource, sys\n"
+                 "from radarmag.cli import main\n"
+                 "with open('/proc/self/status') as status:\n"
+                 "    size = next(int(line.split()[1]) for line in status if line.startswith('VmSize:'))\n"
+                 "cap = size * 1024 + 2**29\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = os.path.dirname(os.path.dirname(radarmag.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", probe, *argv, "--alpha", "1", "--band", "0.5:2",
+                               "--bank", str(path)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        err = done.stderr.splitlines()
+        assert done.returncode == 1 and len(err) == 1, (done.returncode, err)
+        assert re.fullmatch(r"error: out of memory: the level of wavelength 16\.0 and sigma "
+                            r"200000\.0 \(radius 800000 bins\) needs a \d+-point transform "
+                            r"of 64-sample profiles", err[0]), err
