@@ -19,6 +19,8 @@ Analysis and synthesis act on each frame (column) alone.  map_levels and
 reconstruct therefore run them in column blocks of about COLUMN_ELEMENTS
 coefficients on the module's thread pool, so each block's passes stay in
 cache and no array with a transform's worth of rows spans the record.
+map_levels holds no spectrum of its input either: each column block
+transforms its own columns of the signal for every level.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 
@@ -245,9 +248,8 @@ def load_bank_config(path: str) -> GaborBank:
 
 
 def _analysis_input(signal: np.ndarray, bank: GaborBank):
-    """Validated float64 signal, its Hermitian half spectrum, and the bank's
-    responses at its transform length.  A transform too large to allocate
-    is a ValueError naming the widest level and the transform length."""
+    """The validated float64 signal and the bank's responses at its
+    transform length."""
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected 1-D profile or 2-D radargram matrix, got shape {x.shape}")
@@ -255,17 +257,24 @@ def _analysis_input(signal: np.ndarray, bank: GaborBank):
         raise ValueError("signal contains non-finite samples")
     if x.shape[0] == 0:
         raise ValueError("signal has no samples")
-    m = bank.transform_length(x.shape[0])
+    with _transform_memory(bank, x.shape[0]):
+        psis = bank.freq_responses(bank.transform_length(x.shape[0]))
+    return x, psis
+
+
+@contextmanager
+def _transform_memory(bank: GaborBank, n: int):
+    """Turn a MemoryError from an allocation that grows with the transform
+    of n-sample profiles into a ValueError naming the widest level and the
+    transform length."""
     try:
-        psis = bank.freq_responses(m)
-        half = sfft.rfft(x, n=m, axis=0, workers=-1)
+        yield
     except MemoryError:
         widest = max(bank.levels, key=lambda p: p.support_radius)
         raise ValueError(
             f"out of memory: the level of wavelength {widest.wavelength} and sigma {widest.sigma} "
-            f"(radius {widest.support_radius} bins) needs a {m}-point transform "
-            f"of {x.shape[0]}-sample profiles") from None
-    return x, half, psis
+            f"(radius {widest.support_radius} bins) needs a {bank.transform_length(n)}-point "
+            f"transform of {n}-sample profiles") from None
 
 
 def _column(v: np.ndarray, ndim: int) -> np.ndarray:
@@ -299,24 +308,31 @@ def _level_spectrum(half: np.ndarray, psi: np.ndarray, buf: np.ndarray) -> None:
     tail *= _column(psi[h:], buf.ndim)
 
 
-def _analysed_levels(half: np.ndarray, psis: np.ndarray, shape: tuple, op):
-    """Yield every level of the signal of the given shape whose half
-    spectrum is half, after op(k, level) has modified level k in place.
+def _analysed_levels(x: np.ndarray, psis: np.ndarray, op):
+    """Yield every level of the signal x, after op(k, level) has modified
+    level k in place.
 
     One n-row level array is reused for every level.  Each column block of
-    it is formed in an m-row scratch, on the thread pool, and keeps rows
-    [:n].  The generator holds half and the level until its last level has
-    been taken, and frees them when it finishes.
+    it is formed on the thread pool from the signal itself: the block's
+    columns are copied into an m-row buffer, zero-padded and transformed,
+    the level's spectrum is formed from theirs in an m-row scratch, and its
+    inverse keeps rows [:n].  So no spectrum of the whole signal is held:
+    the generator holds the level, and x, until its last level has been
+    taken.
     """
-    n, m = shape[0], psis.shape[1]
-    level = np.empty(shape, dtype=np.complex128)
-    columns, half_columns = _as_columns(level), _as_columns(half)
+    n, m = x.shape[0], psis.shape[1]
+    level = np.empty(x.shape, dtype=np.complex128)
+    columns, signal_columns = _as_columns(level), _as_columns(x)
     for k, psi in enumerate(psis):
         def analyse(cols: slice) -> None:
-            block = half_columns[:, cols]
+            block = signal_columns[:, cols]
+            # padding a copy by hand transforms faster than rfft(block, n=m)
+            padded = np.empty((m, block.shape[1]))
+            padded[:n] = block
+            padded[n:] = 0.0
             scratch = np.empty((m, block.shape[1]), dtype=np.complex128)
-            _level_spectrum(block, psi, scratch)
-            sfft.ifft(scratch, axis=0, overwrite_x=True)
+            _level_spectrum(sfft.rfft(padded, axis=0), psi, scratch)
+            scratch = sfft.ifft(scratch, axis=0, overwrite_x=True)
             columns[:, cols] = scratch[:n]
 
         _map_columns(analyse, m, columns.shape[1])
@@ -324,9 +340,10 @@ def _analysed_levels(half: np.ndarray, psis: np.ndarray, shape: tuple, op):
         yield level
 
 
-def _synthesize(psis: np.ndarray, n: int, frames: tuple, levels) -> np.ndarray:
+def _synthesize(bank: GaborBank, psis: np.ndarray, n: int, frames: tuple, levels) -> np.ndarray:
     """Collapse levels, an iterable of n-row arrays shaped (n,) + frames,
-    back to an n-row real signal.
+    back to an n-row real signal through psis, the bank's responses at the
+    transform length of n samples.
 
     Each level is zero-padded, transformed, filtered again by its own
     kernel, and added together with its conjugate mirror, so the sum is the
@@ -335,14 +352,17 @@ def _synthesize(psis: np.ndarray, n: int, frames: tuple, levels) -> np.ndarray:
     maximum so uncovered frequencies are attenuated instead of amplified.
     Both steps run per column block on the thread pool: a level's block
     goes through an m-row scratch of its own, and each block's inverse is
-    written straight into the n-row output.  The last level is let go
-    before the inverse, so an iterable that alone holds its levels (and
-    their input) has freed them by then.
+    written straight into the n-row output.  The half spectrum is allocated
+    before the first level is taken, and a bank whose transform it cannot
+    hold is a ValueError naming the widest level.  The last level is let go
+    before the inverse, so an iterable that alone holds its levels has
+    freed them by then.
     """
     m = psis.shape[1]
     h = m // 2 + 1
     width = math.prod(frames)
-    acc = np.zeros((h, width), dtype=np.complex128)
+    with _transform_memory(bank, n):
+        acc = np.zeros((h, width), dtype=np.complex128)
     for k, level in enumerate(levels):
         columns, psi = _as_columns(level), _column(psis[k], 2)
 
@@ -351,7 +371,7 @@ def _synthesize(psis: np.ndarray, n: int, frames: tuple, levels) -> np.ndarray:
             buf = np.empty((m, block.shape[1]), dtype=np.complex128)
             buf[:n] = block
             buf[n:] = 0.0
-            sfft.fft(buf, axis=0, overwrite_x=True)
+            buf = sfft.fft(buf, axis=0, overwrite_x=True)
             buf *= psi
             spectrum = acc[:, cols]
             spectrum += buf[:h]
@@ -384,8 +404,10 @@ def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
     Returns the same-size central part of the linear convolution.  It runs
     in the frequency domain and matches direct convolution to ~1e-13.
     """
-    x, half, psis = _analysis_input(signal, bank)
+    x, psis = _analysis_input(signal, bank)
     n, m = x.shape[0], psis.shape[1]
+    with _transform_memory(bank, n):
+        half = sfft.rfft(x, n=m, axis=0, workers=-1)
     # Level k is formed in rows [k*n, k*n + m) of one buffer and keeps rows
     # [k*n, (k+1)*n); its m - n extra rows belong to later levels, which
     # are written after it.
@@ -393,7 +415,10 @@ def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
     for k, psi in enumerate(psis):
         buf = flat[k * n : k * n + m]
         _level_spectrum(half, psi, buf)
-        sfft.ifft(buf, axis=0, overwrite_x=True, workers=-1)
+        level = sfft.ifft(buf, axis=0, overwrite_x=True, workers=-1)
+        # overwrite_x lets scipy reuse buf but does not promise to
+        if not np.shares_memory(level, buf):
+            buf[...] = level
     return Pyramid(levels=tuple(flat[k * n : (k + 1) * n] for k in range(len(psis))), bank=bank)
 
 
@@ -403,17 +428,15 @@ def map_levels(signal: np.ndarray, bank: GaborBank, op) -> np.ndarray:
     For each level k, op(k, level) receives the complex coefficients
     (shaped like the signal) and modifies them in place; it runs on the
     calling thread.  Each level is formed, column block by column block on
-    the thread pool, into one n-row level array and added into the
-    synthesis spectrum before the next one is formed, so only one level,
-    the input half spectrum and the synthesis half spectrum are held at
-    once, and only the synthesis spectrum and the output at the final
-    inverse.  An op that leaves its level unchanged returns exactly
+    the thread pool, from the signal itself into one n-row level array, and
+    added into the synthesis half spectrum before the next one is formed.
+    So besides the signal, only one level and the synthesis spectrum are
+    held at once, and only the synthesis spectrum and the output at the
+    final inverse.  An op that leaves its level unchanged returns exactly
     reconstruct(decompose(signal, bank)).
     """
-    x, half, psis = _analysis_input(signal, bank)
-    levels = _analysed_levels(half, psis, x.shape, op)
-    del half   # the generator now holds the only reference
-    return _synthesize(psis, x.shape[0], x.shape[1:], levels)
+    x, psis = _analysis_input(signal, bank)
+    return _synthesize(bank, psis, x.shape[0], x.shape[1:], _analysed_levels(x, psis, op))
 
 
 def decompose_direct(signal: np.ndarray, bank: GaborBank) -> Pyramid:
@@ -436,4 +459,4 @@ def reconstruct(pyr: Pyramid) -> np.ndarray:
     the bank that built it, by the synthesis map_levels runs."""
     n = pyr.levels[0].shape[0]
     psis = pyr.bank.freq_responses(pyr.bank.transform_length(n))
-    return _synthesize(psis, n, pyr.levels[0].shape[1:], pyr.levels)
+    return _synthesize(pyr.bank, psis, n, pyr.levels[0].shape[1:], pyr.levels)

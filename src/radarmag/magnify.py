@@ -41,10 +41,10 @@ AMPLITUDE_MASK_RATIO = 1e-8
 PHASE_GATE_RATIO = 1e-3
 # Temporal smoothing sigma (seconds) of the phase gate's amplitude mask.
 GATE_SMOOTH_S = 0.05
-# Coefficients per row block of the phase operation (43 rows at 6000
+# Coefficients per row block of the phase operation (21 rows at 6000
 # frames): a block's temporaries stay a few MB while the per-call overhead
 # of its steps stays small.
-BLOCK_ELEMENTS = 2**18
+BLOCK_ELEMENTS = 2**17
 # Coefficients in one level of a windowed-magnification frame group (four
 # 1 s windows at a 0.5 s shift of a 512-bin, 200 fps record): the group's
 # analysis and synthesis buffers stay tens of MB however long the record.
@@ -267,8 +267,8 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
     window), and each group runs one gabor.map_levels pass.  Per level, one
     _rotate_windows call rotates every window of the group in place, each
     with its own peak, gate and bandpass, and keeps each window's centre.
-    So one group holds its level, the analysis and synthesis spectra and
-    the row blocks in flight, whatever the record's length.  A run of one
+    So one group holds its level, the synthesis spectrum and the row
+    blocks in flight, whatever the record's length.  A run of one
     group returns its pass's output as it is; only several groups are
     stitched into a record-sized buffer.
     """

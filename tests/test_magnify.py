@@ -168,8 +168,9 @@ class TestMagnify:
         assert abs(p2p - p2p_ref) / p2p_ref < 0.10
 
     def test_streams_one_level_at_a_time(self):
-        # peak traced memory stays below four complex arrays of one level at
-        # transform length, whatever the number of levels
+        # peak traced memory stays below 2.6 complex arrays of one level at
+        # transform length, whatever the number of levels: about 2.1 with no
+        # input half spectrum held, where holding it read 3.3
         r, _ = simulate(validation_scene(duration_s=5.0), seed=0)
         bank = magnify_bank()
         assert len(bank) == 9 and r.data.shape == (512, 1000)
@@ -181,7 +182,7 @@ class TestMagnify:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * m * r.n_frames * 16, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 2.6 * m * r.n_frames * 16, f"peak {peak / 2**20:.1f} MiB"
 
     def test_too_few_frames(self):
         r = Radargram(np.zeros((300, 3)), fps=100.0, bin_spacing=0.01)
