@@ -21,6 +21,7 @@ and alpha = -1 removes in-band motion entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import fft as sfft
@@ -140,23 +141,64 @@ def dct_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1)
     return sfft.idct(coefficients, type=2, axis=axis, overwrite_x=True)
 
 
-def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
-    """phase *= gaussian_filter1d(above, sigma) along frames, in place.
+@cache
+def _ones_response(sigma: float) -> float:
+    """gaussian_filter1d's response to a run of ones: every output sample of
+    an all-ones series is this one value."""
+    return float(gaussian_filter1d(np.ones(1), sigma, mode="nearest")[0])
 
-    Only rows where the amplitude gate is mixed are filtered; a row that
-    is entirely above the threshold takes the filter's response to a row
-    of ones and a row entirely below it is zeroed, which is the same
-    product the full filter gives.
+
+def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
+    """phase *= gaussian_filter1d(above.astype(float), sigma, axis=1,
+    mode="nearest"), in place, for a C-contiguous phase (bins x frames).
+
+    The filter reads the mask within its radius, int(4 * sigma + 0.5)
+    frames, of a sample, so only the samples that lie that near a 0/1 edge
+    of their row are filtered; every other sample takes exactly 0 or
+    exactly the filter's response to ones (a zero may lose its sign).  The
+    near samples of a row form segments, merged where they overlap or
+    touch, never across rows; each is gathered with the radius of mask
+    around it on both sides, from frame indices clipped to the row as mode
+    "nearest" clips them, and all go through one filter call, in which a
+    segment's padding keeps its neighbours out of its own samples.  So the
+    product is the full filter's, bit for bit.
     """
-    full = above.all(axis=1)
-    mixed = above.any(axis=1) & ~full
-    phase[~(full | mixed)] = 0.0
-    if full.any():
-        ones = np.ones((1, phase.shape[1]))
-        phase[full] *= gaussian_filter1d(ones, sigma, axis=1, mode="nearest")
-    if mixed.any():
-        gate = above[mixed].astype(np.float64)
-        phase[mixed] *= gaussian_filter1d(gate, sigma, axis=1, mode="nearest")
+    n = phase.shape[1]
+    radius = int(4 * sigma + 0.5)
+    flat, mask = phase.reshape(-1), above.reshape(-1)
+    # an edge e lies between frames e and e + 1 of its row, and frames
+    # [e - radius + 1, e + radius] read both; pairs across rows are no edge
+    row, e = np.divmod(np.flatnonzero(mask[1:] != mask[:-1]), n)
+    in_row = e != n - 1
+    edged = radius > 0 and bool(in_row.any())
+    if edged:
+        row, e = row[in_row], e[in_row]
+        lo, hi = np.maximum(e - (radius - 1), 0), np.minimum(e + (radius + 1), n)
+        # hi grows along a row, so each segment ends at its last edge's hi
+        starts = np.empty(len(e), dtype=bool)
+        starts[0] = True
+        np.not_equal(row[1:], row[:-1], out=starts[1:])
+        starts[1:] |= lo[1:] > hi[:-1]
+        first = np.flatnonzero(starts)
+        last = np.empty_like(first)
+        last[:-1], last[-1] = first[1:] - 1, len(e) - 1
+        base, lo, hi = row[first] * n, lo[first], hi[last]
+        length = hi - lo
+        padded = length + 2 * radius
+        inner_at = np.cumsum(length) - length
+        padded_at = np.cumsum(padded) - padded
+        j = np.arange(inner_at[-1] + length[-1])
+        near = j + np.repeat(base + lo - inner_at, length)
+        filtered_at = j + np.repeat(padded_at + radius - inner_at, length)
+        frames = np.arange(padded_at[-1] + padded[-1]) + np.repeat(lo - radius - padded_at, padded)
+        np.clip(frames, 0, n - 1, out=frames)
+        frames += np.repeat(base, padded)
+        gate = gaussian_filter1d(mask[frames].astype(np.float64), sigma, mode="nearest")
+        gated = flat[near] * gate[filtered_at]
+    phase *= _ones_response(sigma)
+    phase[~above] = 0.0
+    if edged:
+        flat[near] = gated
 
 
 def _rotate_block(block: np.ndarray, peak: float, fps: float, cfg: MagnifyConfig) -> None:

@@ -6,6 +6,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter1d
 
 from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
                       dct_bandpass, decompose, default_bank, global_magnify, magnify,
@@ -412,6 +415,60 @@ class TestMagnifyWindowed:
         assert peaks[1] <= 1.25 * peaks[0], [f"{p / 2**20:.1f} MiB" for p in peaks]
 
 
+def dense_gate(phase, above, sigma):
+    """The phase gate by its definition: the phase times the smoothed
+    amplitude mask, filtered over every frame of every row."""
+    return phase * gaussian_filter1d(above.astype(np.float64), sigma, axis=1, mode="nearest")
+
+
+@st.composite
+def gate_cases(draw):
+    """(phase, above, sigma) at 20 or 200 fps (sigma 1 or 10 frames, filter
+    radius 4 or 40): rows of up to three filter widths, so some are shorter
+    than one, each all on, all off, or runs of one frame up to just over a
+    filter width, which put edges at the first and the last frame and runs
+    shorter than the radius."""
+    sigma = GATE_SMOOTH_S * draw(st.sampled_from([20.0, 200.0]))
+    width = 2 * int(4 * sigma + 0.5) + 1
+    n = draw(st.integers(1, 3 * width))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["on", "off", "runs"]))
+        if kind == "runs":
+            runs = draw(st.lists(st.integers(1, width + 1), min_size=1, max_size=2 * n))
+            on = draw(st.booleans())
+            row = np.concatenate([np.full(k, (i % 2 == 0) == on) for i, k in enumerate(runs)])
+            row = np.resize(row, n)   # repeats the runs up to n frames, or cuts them
+        else:
+            row = np.full(n, kind == "on")
+        rows.append(row)
+    above = np.array(rows)
+    phase = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-10, 10, above.shape)
+    return phase, above, sigma
+
+
+class TestGatePhase:
+    @settings(max_examples=300, deadline=None)
+    @given(gate_cases())
+    @example((np.linspace(-1, 1, 6).reshape(2, 3), np.array([[1, 0, 1], [0, 1, 0]], bool), 1.0))
+    def test_matches_dense_filter(self, case):
+        phase, above, sigma = case
+        gated = phase.copy()
+        _gate_phase(gated, above, sigma)
+        assert np.array_equal(gated, dense_gate(phase, above, sigma))
+
+    def test_scene_levels_match_dense_filter(self, scene_data):
+        # the masks of the scene's levels: mixed rows with edges far apart,
+        # all-on rows and all-off rows
+        for level in decompose(scene_data.data, magnify_bank()).levels:
+            phase = unwrap_phase(np.angle(level))
+            amplitude = np.abs(level)
+            above = amplitude >= PHASE_GATE_RATIO * amplitude.max()
+            gated = phase.copy()
+            _gate_phase(gated, above, GATE_SMOOTH_S * scene_data.fps)
+            assert np.array_equal(gated, dense_gate(phase, above, GATE_SMOOTH_S * scene_data.fps))
+
+
 def whole_level_rotation(level, fps, cfg):
     """The phase op over a whole level at once: the oracle of the row-blocked
     _rotate_windows, which must match it bit for bit."""
@@ -419,7 +476,7 @@ def whole_level_rotation(level, fps, cfg):
     amplitude = np.abs(level)
     peak = amplitude.max()
     if peak > 0:
-        _gate_phase(phase, amplitude >= PHASE_GATE_RATIO * peak, GATE_SMOOTH_S * fps)
+        phase = dense_gate(phase, amplitude >= PHASE_GATE_RATIO * peak, GATE_SMOOTH_S * fps)
     filtered = dct_bandpass(phase, fps, cfg.band, axis=1)
     del phase
     filtered[amplitude < AMPLITUDE_MASK_RATIO * peak] = 0.0
