@@ -221,7 +221,7 @@ def _rotate_block(block: np.ndarray, peak: float, fps: float, cfg: MagnifyConfig
 
 
 def _rotate_windows(level: np.ndarray, starts: list, length: int, bounds: list,
-                    fps: float, cfg: MagnifyConfig) -> None:
+                    fps: float, cfg: MagnifyConfig, check) -> None:
     """Rotate windows of a level (bins x frames) in place by alpha times their
     filtered phase, keeping window i's frames [bounds[i], bounds[i + 1]).
 
@@ -238,6 +238,12 @@ def _rotate_windows(level: np.ndarray, starts: list, length: int, bounds: list,
     reads what another one, or an earlier window of its own, has written.
     The result does not depend on the block size or the number of
     threads.
+
+    check(level) raises if the level holds a non-finite coefficient; the op
+    calls it only when it may.  The windows cover every frame, so a
+    non-finite coefficient shows as a non-finite window peak, and check
+    runs before any rotation.  Each block flags non-finite values in the
+    frames it writes back, and a flag runs check on the rotated level.
     """
     step = max(1, BLOCK_ELEMENTS // level.shape[1])
 
@@ -247,28 +253,40 @@ def _rotate_windows(level: np.ndarray, starts: list, length: int, bounds: list,
 
     row_peak = np.concatenate(_map_blocks(window_peaks, range(0, level.shape[0], step)))
     peak = row_peak.max(axis=0)
-    # ~(<) rather than >=, so that a NaN row is kept and unwrap_phase rejects it
-    live_in = ~(row_peak < PHASE_GATE_RATIO * peak)
+    if not np.isfinite(peak).all():
+        # check passes when only |z| overflowed, for a finite z whose modulus
+        # exceeds the float range; such rows rotate as before
+        check(level)
+    live_in = row_peak >= PHASE_GATE_RATIO * peak
     live = np.flatnonzero(live_in.any(axis=1))
     cap = max(1, BLOCK_ELEMENTS // (len(starts) * length))
     blocks = max(min(len(starts), _cpus()), -(-len(live) // cap))
     rows_per_block = max(1, -(-len(live) // blocks))
 
-    def rotate_block(lo: int) -> None:
+    def rotate_block(lo: int) -> bool:
         rows = live[lo : lo + rows_per_block]
         kept = [rows[keep] for keep in live_in[rows].T]
         gathered = [level[r, s : s + length] for r, s in zip(kept, starts)]
         for block, window_peak in zip(gathered, peak):
             _rotate_block(block, window_peak, fps, cfg)
+        finite = True
         for r, block, s, a, b in zip(kept, gathered, starts, bounds, bounds[1:]):
-            level[r, a:b] = block[:, a - s : b - s]
+            frames = block[:, a - s : b - s]
+            level[r, a:b] = frames
+            finite &= bool(np.isfinite(frames).all())
+        return finite
 
-    _map_blocks(rotate_block, range(0, len(live), rows_per_block))
+    if not all(_map_blocks(rotate_block, range(0, len(live), rows_per_block))):
+        check(level)
 
 
 def _check_finite(level: np.ndarray, k: int, bank: GaborBank, frame0: int) -> None:
     """ValueError naming level k, the bin and the record frame (frame0 plus
-    the column) of the first non-finite coefficient, if there is one."""
+    the column) of the first non-finite coefficient, if there is one.
+
+    A serial scan of the whole level: _rotate_windows calls it only when a
+    window peak or a rotated block is not finite, never on the success
+    path."""
     if not np.isfinite(level).all():
         bad = np.argwhere(~np.isfinite(level))[0]
         raise ValueError(
@@ -284,8 +302,9 @@ def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
     level is held in memory, and its output is the result, uncopied.  With
     alpha = 0 every coefficient is multiplied by exactly 1 and the output
     equals reconstruct(decompose(data)) bit for bit: both run the same
-    synthesis.  A non-finite rotated coefficient is a ValueError naming
-    its level.
+    synthesis.  A non-finite coefficient, analysed or rotated, is a
+    ValueError naming it: "non-finite coefficient at level k (wavelength
+    ...), bin b, frame f".
     """
     return magnify_windowed(r, bank, cfg, WindowSpec(r.duration_s, r.duration_s))
 
@@ -334,8 +353,8 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
         cuts = [bound - first for bound in bounds[g : g + len(group) + 1]]
 
         def rotate(k: int, level: np.ndarray) -> None:
-            _rotate_windows(level, group, length, cuts, r.fps, cfg)
-            _check_finite(level, k, bank, first)
+            _rotate_windows(level, group, length, cuts, r.fps, cfg,
+                            lambda level: _check_finite(level, k, bank, first))
 
         magnified = map_levels(r.data[:, first : first + group[-1] + length], bank, rotate)
         if out is None:

@@ -14,7 +14,7 @@ from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
                       dct_bandpass, decompose, default_bank, global_magnify, magnify,
                       magnify_windowed, reconstruct, simulate, unwrap_phase, windows)
 from radarmag.magnify import (AMPLITUDE_MASK_RATIO, GATE_SMOOTH_S, PHASE_GATE_RATIO,
-                              _gate_phase, _rotate_windows)
+                              _check_finite, _gate_phase, _rotate_windows)
 
 from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TRACK_SLICE, breather_scene,
                     displacement_p2p, magnify_bank, validation_scene)
@@ -392,6 +392,75 @@ class TestMagnifyWindowed:
             magnify_windowed(r, default_bank(), MagnifyConfig(2.0, BandSpec(0.1, 0.7)),
                              WindowSpec(10.0, 5.0))
 
+    @staticmethod
+    def inject(monkeypatch, at_pass, k, b, column, value):
+        """Patch magnify's map_levels so that level k of its pass at_pass
+        (counted from 0) holds value at bin b and the pass's column column
+        when the phase op receives it."""
+        module = sys.modules["radarmag.magnify"]
+        map_levels = module.map_levels
+        passes = []
+
+        def injected_map_levels(signal, bank, op):
+            passes.append(signal.shape[1])
+
+            def injected_op(level_index, level):
+                if len(passes) - 1 == at_pass and level_index == k:
+                    level[b, column] = value
+                op(level_index, level)
+            return map_levels(signal, bank, injected_op)
+
+        monkeypatch.setattr(module, "map_levels", injected_map_levels)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_analysed_coefficient_names_its_bin_and_frame(
+            self, short_scene, monkeypatch, value):
+        # a non-finite coefficient reaches the op in an analysed level: the
+        # op names it, not unwrap_phase without a level, bin or frame
+        bank = magnify_bank()
+        self.inject(monkeypatch, 0, 2, 100, 250, value)
+        with pytest.raises(ValueError, match=(
+                rf"^non-finite coefficient at level 2 \(wavelength {bank.levels[2].wavelength}\), "
+                r"bin 100, frame 250$")):
+            magnify(short_scene, bank, MagnifyConfig(10.0, SCENE_BAND))
+
+    def test_non_finite_coefficient_in_a_later_group_names_its_record_frame(
+            self, short_scene, monkeypatch):
+        # two 0.7:0.3 windows per group: the third pass starts at frame 240,
+        # so its column 37 is record frame 277
+        module = sys.modules["radarmag.magnify"]
+        monkeypatch.setattr(module, "GROUP_ELEMENTS", 512 * 200)
+        bank = magnify_bank()
+        self.inject(monkeypatch, 2, 4, 300, 37, np.nan)
+        with pytest.raises(ValueError, match=(
+                rf"^non-finite coefficient at level 4 \(wavelength {bank.levels[4].wavelength}\), "
+                r"bin 300, frame 277$")):
+            magnify_windowed(short_scene, bank, MagnifyConfig(10.0, SCENE_BAND),
+                             WindowSpec(0.7, 0.3))
+
+    def test_success_never_scans_for_non_finite_coefficients(self, short_scene, monkeypatch):
+        # the serial whole-level scan runs only when a peak or a rotated
+        # block is not finite: never on a successful call
+        module = sys.modules["radarmag.magnify"]
+        scans = []
+        check_finite = module._check_finite
+
+        def counted_check_finite(*args):
+            scans.append(args[1])
+            check_finite(*args)
+
+        monkeypatch.setattr(module, "_check_finite", counted_check_finite)
+        cfg = MagnifyConfig(alpha=10.0, band=SCENE_BAND)
+        magnify(short_scene, magnify_bank(), cfg)
+        magnify_windowed(short_scene, magnify_bank(), cfg, WindowSpec(1.0, 0.5))
+        magnify_windowed(short_scene, magnify_bank(), cfg, WindowSpec(0.7, 0.3))
+        assert scans == []
+        # the wrapper does see the scans of a failing call
+        self.inject(monkeypatch, 0, 1, 7, 9, np.nan)
+        with pytest.raises(ValueError, match="bin 7, frame 9$"):
+            magnify(short_scene, magnify_bank(), cfg)
+        assert scans == [1]
+
     def test_memory_does_not_grow_with_record_length(self):
         # the traced peak above the output is one group's, however many
         # groups the record holds
@@ -509,10 +578,14 @@ def handmade_levels():
             "moving": moving}
 
 
-def rotate_level(level, fps, cfg):
+def unexpected_check(level):
+    raise AssertionError("a finite level was scanned for non-finite coefficients")
+
+
+def rotate_level(level, fps, cfg, check=unexpected_check):
     """_rotate_windows with the whole level as its one window, as magnify runs it."""
     n = level.shape[1]
-    _rotate_windows(level, [0], n, [0, n], fps, cfg)
+    _rotate_windows(level, [0], n, [0, n], fps, cfg, check)
 
 
 def overlapping_windows(n):
@@ -562,7 +635,7 @@ class TestRotateLevel:
             window = level[:, start : start + length].copy()
             whole_level_rotation(window, fps, cfg)
             expected[:, lo:hi] = window[:, lo - start : hi - start]
-        _rotate_windows(actual, starts, length, bounds, fps, cfg)
+        _rotate_windows(actual, starts, length, bounds, fps, cfg, unexpected_check)
         assert np.array_equal(actual, expected)
 
     @pytest.mark.parametrize("alpha", [10.0, 50.0])
@@ -593,6 +666,46 @@ class TestRotateLevel:
         rotate_level(rotated, 200.0, MagnifyConfig(alpha=10.0, band=SCENE_BAND))
         changed = ~np.isclose(rotated, level, rtol=1e-9, atol=0.0).all(axis=1)
         assert changed.tolist() == [True, False, False, True, False, False]
+
+    @staticmethod
+    def level_check(k, frame0=0):
+        bank = default_bank()
+        return lambda level: _check_finite(level, k, bank, frame0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coefficient_is_named_before_rotation(self, block_elements, value):
+        # one bad coefficient in an 8 x 400 level: the check names it, and no
+        # block has rotated anything by then
+        level = np.exp(1j * 0.3 * np.arange(400.0)) * np.arange(1.0, 9.0)[:, None]
+        level[5, 123] = value
+        before = level.copy()
+        with pytest.raises(ValueError, match=(
+                r"^non-finite coefficient at level 3 \(wavelength 9.0\), bin 5, frame 1123$")):
+            rotate_level(level, 200.0, MagnifyConfig(alpha=10.0, band=SCENE_BAND),
+                         self.level_check(3, 1000))
+        assert np.array_equal(level, before, equal_nan=True)
+
+    def test_non_finite_rotated_coefficient_is_named(self, block_elements, monkeypatch):
+        # a block whose rotated frames are not finite: the check runs once,
+        # after the blocks have written back, and names the first of them
+        module = sys.modules["radarmag.magnify"]
+        rotate_block = module._rotate_block
+
+        def spoiled_rotate_block(block, *args):
+            rotate_block(block, *args)
+            block[:, 123] = np.nan
+
+        monkeypatch.setattr(module, "_rotate_block", spoiled_rotate_block)
+        level = np.exp(1j * 0.3 * np.arange(400.0)) * np.arange(1.0, 9.0)[:, None]
+        checked = []
+
+        def check(level):
+            checked.append(level.copy())
+            self.level_check(0)(level)
+
+        with pytest.raises(ValueError, match="^non-finite coefficient at level 0 .*, bin 0, frame 123$"):
+            rotate_level(level, 200.0, MagnifyConfig(alpha=10.0, band=SCENE_BAND), check)
+        assert len(checked) == 1 and np.isnan(checked[0][:, 123]).all()
 
 
 class TestGlobalMagnify:

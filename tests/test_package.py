@@ -60,11 +60,13 @@ def test_forked_child_gets_its_own_pool():
         "mag.BLOCK_ELEMENTS = 1\n"
         "level = np.exp(1j * np.arange(400.0)) * np.ones((4, 1))\n"
         "cfg = MagnifyConfig(alpha=1.0, band=BandSpec(40.0, 50.0))\n"
-        "mag._rotate_windows(level.copy(), [0], 400, [0, 400], 200.0, cfg)\n"
+        "def check(level):\n"
+        "    raise AssertionError('a finite level was checked')\n"
+        "mag._rotate_windows(level.copy(), [0], 400, [0, 400], 200.0, cfg, check)\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
         "    signal.alarm(30)\n"
-        "    mag._rotate_windows(level.copy(), [0], 400, [0, 400], 200.0, cfg)\n"
+        "    mag._rotate_windows(level.copy(), [0], 400, [0, 400], 200.0, cfg, check)\n"
         "    os._exit(0)\n"
         "print(os.waitpid(pid, 0)[1])\n")
     assert out.strip() == "0"
