@@ -287,11 +287,17 @@ def _as_columns(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], -1)
 
 
-def _map_columns(fn, m: int, width: int) -> None:
-    """fn(cols) for slices cols cutting width columns into blocks of about
-    COLUMN_ELEMENTS coefficients at transform length m, on the thread pool."""
+def _column_blocks(m: int, width: int) -> list:
+    """Slices cutting width columns into blocks of about COLUMN_ELEMENTS
+    coefficients at transform length m."""
     step = max(1, COLUMN_ELEMENTS // m)
-    _map_blocks(lambda start: fn(slice(start, start + step)), range(0, width, step))
+    return [slice(start, min(start + step, width)) for start in range(0, width, step)]
+
+
+def _map_columns(fn, m: int, width: int) -> None:
+    """fn(cols) for the slices cols of _column_blocks(m, width), on the
+    thread pool."""
+    _map_blocks(fn, _column_blocks(m, width))
 
 
 def _level_spectrum(half: np.ndarray, psi: np.ndarray, buf: np.ndarray) -> None:
@@ -352,35 +358,39 @@ def _synthesize(bank: GaborBank, psis: np.ndarray, n: int, frames: tuple, levels
     maximum so uncovered frequencies are attenuated instead of amplified.
     Both steps run per column block on the thread pool: a level's block
     goes through an m-row scratch of its own, and each block's inverse is
-    written straight into the n-row output.  The half spectrum is allocated
-    before the first level is taken, and a bank whose transform it cannot
-    hold is a ValueError naming the widest level.  The last level is let go
+    written straight into the n-row output.  The half spectrum is held
+    block-major, one contiguous slab of its rows by the block's columns
+    per column block, so a block's accumulate and inverse run on memory of
+    their own rather than on strided columns of one array.  The slabs are
+    allocated before the first level is taken, and a bank whose transform
+    they cannot hold is a ValueError naming the widest level.  The last level is let go
     before the inverse, so an iterable that alone holds its levels has
     freed them by then.
     """
     m = psis.shape[1]
     h = m // 2 + 1
     width = math.prod(frames)
+    blocks = _column_blocks(m, width)
     with _transform_memory(bank, n):
-        acc = np.zeros((h, width), dtype=np.complex128)
+        acc = [np.zeros((h, cols.stop - cols.start), dtype=np.complex128) for cols in blocks]
     for k, level in enumerate(levels):
         columns, psi = _as_columns(level), _column(psis[k], 2)
 
-        def add(cols: slice) -> None:
-            block = columns[:, cols]
+        def add(b: int) -> None:
+            block = columns[:, blocks[b]]
             buf = np.empty((m, block.shape[1]), dtype=np.complex128)
             buf[:n] = block
             buf[n:] = 0.0
             buf = sfft.fft(buf, axis=0, overwrite_x=True)
             buf *= psi
-            spectrum = acc[:, cols]
+            spectrum = acc[b]
             spectrum += buf[:h]
             spectrum[0] += np.conj(buf[0])
             # value at -xi lives at index (m - j) % m
             mirror = buf[m - h + 1 :]
             spectrum[1:] += np.conjugate(mirror, out=mirror)[::-1]
 
-        _map_columns(add, m, width)
+        _map_blocks(add, range(len(blocks)))
     del level, columns   # the last level goes before the output is allocated
     response = np.sum(np.abs(psis) ** 2, axis=0)
     response = response + np.roll(response[::-1], 1)
@@ -389,12 +399,12 @@ def _synthesize(bank: GaborBank, psis: np.ndarray, n: int, frames: tuple, levels
     out = np.empty((n,) + frames)
     out_columns = _as_columns(out)
 
-    def invert(cols: slice) -> None:
-        spectrum = acc[:, cols]
+    def invert(b: int) -> None:
+        spectrum = acc[b]
         spectrum /= gain
-        out_columns[:, cols] = sfft.irfft(spectrum, m, axis=0)[:n]
+        out_columns[:, blocks[b]] = sfft.irfft(spectrum, m, axis=0)[:n]
 
-    _map_columns(invert, m, width)
+    _map_blocks(invert, range(len(blocks)))
     return out
 
 
