@@ -201,6 +201,25 @@ def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
         flat[near] = gated
 
 
+def _phasors(angle: np.ndarray, out: np.ndarray) -> None:
+    """out = exp(1j * angle) for a float64 angle, which this overwrites.
+
+    The angle is reduced in float64 to angle - 2*pi*rint(angle / (2*pi)),
+    within rounding of [-pi, pi], and its cosine and sine are taken in
+    float32, many times faster than in float64: each part lies within 4e-7
+    of the float64 one for |angle| up to 1e4.  Both precisions give cos
+    and sin of +-0 exactly, so a zero angle gives exactly 1.
+    """
+    turns = angle / (2 * np.pi)
+    np.rint(turns, out=turns)
+    turns *= 2 * np.pi
+    angle -= turns
+    del turns
+    reduced = angle.astype(np.float32)
+    np.cos(reduced, out=out.real)
+    np.sin(reduced, out=out.imag)
+
+
 def _rotate_block(block: np.ndarray, peak: float, fps: float, cfg: MagnifyConfig) -> None:
     """Rotate a block of rows (bins x frames) in place by alpha times their
     filtered phase, gated and masked against their window's peak amplitude."""
@@ -214,8 +233,7 @@ def _rotate_block(block: np.ndarray, peak: float, fps: float, cfg: MagnifyConfig
     del amplitude
     filtered *= cfg.alpha
     rotation = np.empty_like(block)
-    np.cos(filtered, out=rotation.real)
-    np.sin(filtered, out=rotation.imag)
+    _phasors(filtered, rotation)
     del filtered
     block *= rotation
 

@@ -14,7 +14,7 @@ from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
                       dct_bandpass, decompose, default_bank, global_magnify, magnify,
                       magnify_windowed, reconstruct, simulate, unwrap_phase, windows)
 from radarmag.magnify import (AMPLITUDE_MASK_RATIO, GATE_SMOOTH_S, PHASE_GATE_RATIO,
-                              _check_finite, _gate_phase, _rotate_windows)
+                              _check_finite, _gate_phase, _phasors, _rotate_windows)
 
 from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TRACK_SLICE, breather_scene,
                     displacement_p2p, magnify_bank, validation_scene)
@@ -538,6 +538,28 @@ class TestGatePhase:
             assert np.array_equal(gated, dense_gate(phase, above, GATE_SMOOTH_S * scene_data.fps))
 
 
+
+class TestPhasors:
+    def test_within_float32_rounding_of_float64_trig(self):
+        # +-0, every multiple of pi/2 and of 2*pi up to 1e4, and angles
+        # spread over +-1e4, in a 2-D array as the op passes them
+        rng = np.random.default_rng(11)
+        quarter_turns = np.arange(-6366, 6367) * (np.pi / 2)
+        turns = np.arange(-1591, 1592) * (2 * np.pi)
+        spread = rng.uniform(-1e4, 1e4, 200_000)
+        angles = np.concatenate([[0.0, -0.0, 1e4, -1e4], quarter_turns, turns, spread])
+        angles = np.resize(angles, (4, -(-angles.size // 4)))
+        out = np.empty(angles.shape, dtype=np.complex128)
+        _phasors(angles.copy(), out)
+        assert np.max(np.abs(out.real - np.cos(angles))) <= 4e-7
+        assert np.max(np.abs(out.imag - np.sin(angles))) <= 4e-7
+
+    def test_zero_angle_gives_exactly_one(self):
+        # what keeps alpha = 0 bit-exact
+        out = np.empty((2, 3), dtype=np.complex128)
+        _phasors(np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]), out)
+        assert (out == 1.0).all()
+
 def whole_level_rotation(level, fps, cfg):
     """The phase op over a whole level at once: the oracle of the row-blocked
     _rotate_windows, which must match it bit for bit."""
@@ -552,8 +574,7 @@ def whole_level_rotation(level, fps, cfg):
     del amplitude
     filtered *= cfg.alpha
     rotation = np.empty_like(level)
-    np.cos(filtered, out=rotation.real)
-    np.sin(filtered, out=rotation.imag)
+    _phasors(filtered, rotation)
     del filtered
     level *= rotation
 
