@@ -363,9 +363,9 @@ def _synthesize(bank: GaborBank, psis: np.ndarray, n: int, frames: tuple, levels
     per column block, so a block's accumulate and inverse run on memory of
     their own rather than on strided columns of one array.  The slabs are
     allocated before the first level is taken, and a bank whose transform
-    they cannot hold is a ValueError naming the widest level.  The last level is let go
-    before the inverse, so an iterable that alone holds its levels has
-    freed them by then.
+    they cannot hold is a ValueError naming the widest level.  The last
+    level is let go before the inverse, so an iterable that alone holds
+    its levels has freed them by then.
     """
     m = psis.shape[1]
     h = m // 2 + 1

@@ -170,7 +170,7 @@ def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
     # [e - radius + 1, e + radius] read both; pairs across rows are no edge
     row, e = np.divmod(np.flatnonzero(mask[1:] != mask[:-1]), n)
     in_row = e != n - 1
-    edged = radius > 0 and bool(in_row.any())
+    edged = bool(in_row.any())
     if edged:
         row, e = row[in_row], e[in_row]
         lo, hi = np.maximum(e - (radius - 1), 0), np.minimum(e + (radius + 1), n)

@@ -538,7 +538,6 @@ class TestGatePhase:
             assert np.array_equal(gated, dense_gate(phase, above, GATE_SMOOTH_S * scene_data.fps))
 
 
-
 class TestPhasors:
     def test_within_float32_rounding_of_float64_trig(self):
         # +-0, every multiple of pi/2 and of 2*pi up to 1e4, and angles
