@@ -294,12 +294,6 @@ def _column_blocks(m: int, width: int) -> list:
     return [slice(start, min(start + step, width)) for start in range(0, width, step)]
 
 
-def _map_columns(fn, m: int, width: int) -> None:
-    """fn(cols) for the slices cols of _column_blocks(m, width), on the
-    thread pool."""
-    _map_blocks(fn, _column_blocks(m, width))
-
-
 def _level_spectrum(half: np.ndarray, psi: np.ndarray, buf: np.ndarray) -> None:
     """Write the spectrum of one level into buf (m rows) in place: its
     inverse FFT along axis 0 is the level, whose rows [:n] are kept.
@@ -341,7 +335,7 @@ def _analysed_levels(x: np.ndarray, psis: np.ndarray, op):
             scratch = sfft.ifft(scratch, axis=0, overwrite_x=True)
             columns[:, cols] = scratch[:n]
 
-        _map_columns(analyse, m, columns.shape[1])
+        _map_blocks(analyse, _column_blocks(m, columns.shape[1]))
         op(k, level)
         yield level
 
