@@ -15,12 +15,13 @@ own kernel concentrates every level's net response into a non-negative
 |Psi|^2, and dividing by the aggregate response in the frequency domain
 restores unit gain.
 
-Analysis and synthesis act on each frame (column) alone.  map_levels and
-reconstruct therefore run them in column blocks of about COLUMN_ELEMENTS
-coefficients on the module's thread pool, so each block's passes stay in
-cache and no array with a transform's worth of rows spans the record.
-map_levels holds no spectrum of its input either: each column block
-transforms its own columns of the signal for every level.
+Analysis and synthesis act on each frame (column) alone, so both run in
+column blocks of about COLUMN_ELEMENTS coefficients on the module's thread
+pool: each block's passes stay in cache, and no array with a transform's
+worth of rows spans the record.  There is one analysis, _analyse:
+decompose asks it for every level at once and map_levels for one level at
+a time.  Each column block transforms its own columns of the signal once
+for the levels asked, so no spectrum of the whole signal is held.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ RESPONSE_FLOOR_RATIO = 1e-6
 # 1e-77 its 1/sigma**2 gain overflows the squared synthesis response.
 MIN_SIGMA = 1e-3
 
-# Coefficients per column block of map_levels' and reconstruct's analysis
-# and synthesis (89 frames at a 729-point transform): a block's transform
-# scratch is 1 MiB, so its passes run in cache.
+# Coefficients per column block of the analysis and the synthesis (89
+# frames at a 729-point transform): a block's transform scratch is 1 MiB,
+# so its passes run in cache.
 COLUMN_ELEMENTS = 2**16
 
 
@@ -294,48 +295,51 @@ def _column_blocks(m: int, width: int) -> list:
     return [slice(start, min(start + step, width)) for start in range(0, width, step)]
 
 
-def _level_spectrum(half: np.ndarray, psi: np.ndarray, buf: np.ndarray) -> None:
-    """Write the spectrum of one level into buf (m rows) in place: its
-    inverse FFT along axis 0 is the level, whose rows [:n] are kept.
+def _analyse(x: np.ndarray, bank: GaborBank, psis: np.ndarray, levels) -> None:
+    """Write the level of the signal x through each of psis, responses of
+    the bank at x's transform length m, into the matching n-row array of
+    levels, shaped like x.
 
-    The full spectrum of the real signal is rebuilt from its half as the
-    product is formed, so no full-length copy of the input spectrum exists.
+    Each column block runs on the thread pool through one m-row complex
+    scratch.  Its first m * c float64 slots take the block's c columns,
+    zero-padded by hand (which transforms faster than rfft(block, n=m)), and
+    their half spectrum is taken once.  Per level, the level's spectrum is
+    formed in the scratch, the full spectrum of the real signal rebuilt from
+    its half as the product is formed, and its inverse keeps rows [:n].  So
+    no spectrum of the whole signal is held.
     """
-    m, h = buf.shape[0], half.shape[0]
-    np.multiply(half, _column(psi[:h], buf.ndim), out=buf[:h])
-    tail = buf[h:]
-    np.conjugate(half[m - h : 0 : -1], out=tail)
-    tail *= _column(psi[h:], buf.ndim)
+    n, m = x.shape[0], psis.shape[1]
+    h = m // 2 + 1
+    signal_columns, outs = _as_columns(x), [_as_columns(level) for level in levels]
+
+    def analyse(cols: slice) -> None:
+        c = cols.stop - cols.start
+        scratch = np.empty((m, c), dtype=np.complex128)
+        padded = scratch.reshape(-1).view(np.float64)[: m * c].reshape(m, c)
+        padded[:n] = signal_columns[:, cols]
+        padded[n:] = 0.0
+        half = sfft.rfft(padded, axis=0)
+        for psi, out in zip(psis, outs):
+            np.multiply(half, _column(psi[:h], 2), out=scratch[:h])
+            tail = np.conjugate(half[m - h : 0 : -1], out=scratch[h:])
+            tail *= _column(psi[h:], 2)
+            out[:, cols] = sfft.ifft(scratch, axis=0, overwrite_x=True)[:n]
+
+    with _transform_memory(bank, n):
+        _map_blocks(analyse, _column_blocks(m, signal_columns.shape[1]))
 
 
-def _analysed_levels(x: np.ndarray, psis: np.ndarray, op):
+def _analysed_levels(x: np.ndarray, bank: GaborBank, psis: np.ndarray, op):
     """Yield every level of the signal x, after op(k, level) has modified
     level k in place.
 
-    One n-row level array is reused for every level.  Each column block of
-    it is formed on the thread pool from the signal itself: the block's
-    columns are copied into an m-row buffer, zero-padded and transformed,
-    the level's spectrum is formed from theirs in an m-row scratch, and its
-    inverse keeps rows [:n].  So no spectrum of the whole signal is held:
-    the generator holds the level, and x, until its last level has been
-    taken.
+    One n-row level array is reused for every level, formed by _analyse
+    one level at a time, so the generator holds the level, and x, until its
+    last level has been taken.
     """
-    n, m = x.shape[0], psis.shape[1]
     level = np.empty(x.shape, dtype=np.complex128)
-    columns, signal_columns = _as_columns(level), _as_columns(x)
-    for k, psi in enumerate(psis):
-        def analyse(cols: slice) -> None:
-            block = signal_columns[:, cols]
-            # padding a copy by hand transforms faster than rfft(block, n=m)
-            padded = np.empty((m, block.shape[1]))
-            padded[:n] = block
-            padded[n:] = 0.0
-            scratch = np.empty((m, block.shape[1]), dtype=np.complex128)
-            _level_spectrum(sfft.rfft(padded, axis=0), psi, scratch)
-            scratch = sfft.ifft(scratch, axis=0, overwrite_x=True)
-            columns[:, cols] = scratch[:n]
-
-        _map_blocks(analyse, _column_blocks(m, columns.shape[1]))
+    for k in range(len(psis)):
+        _analyse(x, bank, psis[k : k + 1], (level,))
         op(k, level)
         yield level
 
@@ -406,24 +410,15 @@ def decompose(signal: np.ndarray, bank: GaborBank) -> Pyramid:
     """Convolve a profile (1-D) or radargram matrix (bins x frames) with every kernel.
 
     Returns the same-size central part of the linear convolution.  It runs
-    in the frequency domain and matches direct convolution to ~1e-13.
+    in the frequency domain and matches direct convolution to ~1e-13.  The
+    levels are formed by the analysis map_levels runs, in column blocks on
+    the thread pool, each block transforming its columns once for every
+    level; they are views of one (levels, n) + frames array.
     """
     x, psis = _analysis_input(signal, bank)
-    n, m = x.shape[0], psis.shape[1]
-    with _transform_memory(bank, n):
-        half = sfft.rfft(x, n=m, axis=0, workers=-1)
-    # Level k is formed in rows [k*n, k*n + m) of one buffer and keeps rows
-    # [k*n, (k+1)*n); its m - n extra rows belong to later levels, which
-    # are written after it.
-    flat = np.empty((len(psis) * n + m - n,) + x.shape[1:], dtype=np.complex128)
-    for k, psi in enumerate(psis):
-        buf = flat[k * n : k * n + m]
-        _level_spectrum(half, psi, buf)
-        level = sfft.ifft(buf, axis=0, overwrite_x=True, workers=-1)
-        # overwrite_x lets scipy reuse buf but does not promise to
-        if not np.shares_memory(level, buf):
-            buf[...] = level
-    return Pyramid(levels=tuple(flat[k * n : (k + 1) * n] for k in range(len(psis))), bank=bank)
+    levels = np.empty((len(psis),) + x.shape, dtype=np.complex128)
+    _analyse(x, bank, psis, levels)
+    return Pyramid(levels=tuple(levels), bank=bank)
 
 
 def map_levels(signal: np.ndarray, bank: GaborBank, op) -> np.ndarray:
@@ -440,7 +435,7 @@ def map_levels(signal: np.ndarray, bank: GaborBank, op) -> np.ndarray:
     reconstruct(decompose(signal, bank)).
     """
     x, psis = _analysis_input(signal, bank)
-    return _synthesize(bank, psis, x.shape[0], x.shape[1:], _analysed_levels(x, psis, op))
+    return _synthesize(bank, psis, x.shape[0], x.shape[1:], _analysed_levels(x, bank, psis, op))
 
 
 def decompose_direct(signal: np.ndarray, bank: GaborBank) -> Pyramid:

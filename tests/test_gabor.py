@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -144,10 +145,9 @@ class TestDecompose:
     @pytest.mark.parametrize("shape", [(SUPPORT,), (96, 7), (3 * SUPPORT, 5)])
     def test_levels_share_one_buffer_of_n_rows_each(self, shape):
         pyr = decompose(np.random.default_rng(0).standard_normal(shape), BANK)
-        n, m = shape[0], BANK.transform_length(shape[0])
         base = pyr.levels[0].base
         assert all(level.base is base for level in pyr.levels)
-        assert base.shape == (len(BANK) * n + m - n,) + shape[1:]
+        assert base.shape == (len(BANK),) + shape
 
     def test_empty_signal_rejected(self):
         # any other length is zero-padded, so only a signal without samples fails
@@ -333,6 +333,45 @@ class TestColumnBlocks:
         for _ in range(2):
             for x, expected in zip(inputs, alone):
                 assert np.array_equal(map_levels(x, bank, lambda k, level: None), expected)
+
+    @pytest.mark.parametrize("columns", [None, 1, 7], ids=["default", "one-column", "seven-columns"])
+    @pytest.mark.parametrize("cut", ["profile", "one-column", "strided", "reversed"])
+    def test_decompose_levels_are_the_levels_map_levels_hands_its_op(self, cut, columns,
+                                                                      monkeypatch):
+        # decompose and map_levels form their levels by the one analysis:
+        # all levels at once, or one at a time between calls of the op
+        x = np.random.default_rng(14).standard_normal((200, 90))
+        signal = {"profile": x[:, 0], "one-column": x[:, :1], "strided": x[:, ::2],
+                  "reversed": x[::-1]}[cut]
+        if columns is not None:   # 7 divides neither 45 nor 90 frames
+            monkeypatch.setattr(sys.modules["radarmag.gabor"], "COLUMN_ELEMENTS",
+                                columns * BANK.transform_length(200))
+        handed = []
+        map_levels(signal, BANK, lambda k, level: handed.append(level.copy()))
+        levels = decompose(signal, BANK).levels
+        assert len(handed) == len(levels) == len(BANK)
+        assert all(a.shape == signal.shape and np.array_equal(a, b) for a, b in zip(handed, levels))
+
+    def test_allocation_failure_in_a_block_is_a_one_line_error(self, monkeypatch):
+        # a MemoryError in a pool task is re-raised on the calling thread,
+        # and both callers of the analysis name the widest level
+        gabor = sys.modules["radarmag.gabor"]
+        monkeypatch.setattr(gabor, "COLUMN_ELEMENTS", 7 * BANK.transform_length(200))
+        threads = set()
+
+        def rfft(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            raise MemoryError
+
+        monkeypatch.setattr(gabor.sfft, "rfft", rfft)
+        x = np.random.default_rng(15).standard_normal((200, 45))
+        message = (r"out of memory: the level of wavelength 75\.0 and sigma 5\.0 \(radius 20 "
+                   r"bins\) needs a \d+-point transform of 200-sample profiles")
+        for run in (lambda: decompose(x, BANK), lambda: map_levels(x, BANK, scale_levels)):
+            threads.clear()
+            with pytest.raises(ValueError, match=message):
+                run()
+            assert any(name.startswith("radarmag") for name in threads)
 
     def test_identity_op_peak_memory(self):
         # one n-row level, the synthesis half spectrum and the blocks in

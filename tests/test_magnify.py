@@ -331,20 +331,23 @@ class TestMagnifyWindowed:
                 self.maps += 1
                 return super().map(fn, *iterables, **kwargs)
 
-        pooled_ffts = set()
+        pooled_ffts, with_workers = set(), set()
 
         def guard(name):
             transform = getattr(scipy.fft, name)
 
             def guarded(*args, **kwargs):
-                if threading.current_thread().name.startswith("radarmag"):
-                    if "workers" in kwargs:
+                pooled = threading.current_thread().name.startswith("radarmag")
+                if "workers" in kwargs:
+                    if pooled:
                         raise RuntimeError(f"scipy.fft.{name} on a pool thread passed workers")
+                    with_workers.add(name)
+                if pooled:
                     pooled_ffts.add(name)
                 return transform(*args, **kwargs)
             return guarded
 
-        for name in ("fft", "ifft", "irfft", "dct", "idct"):
+        for name in ("fft", "ifft", "rfft", "irfft", "dct", "idct"):
             monkeypatch.setattr(scipy.fft, name, guard(name))
         gabor, module = sys.modules["radarmag.gabor"], sys.modules["radarmag.magnify"]
         pool = GuardedPool(2, thread_name_prefix="radarmag")
@@ -359,9 +362,17 @@ class TestMagnifyWindowed:
             maps = pool.maps
             magnify_windowed(short_scene, magnify_bank(), cfg, WindowSpec(0.7, 0.3))
             assert pool.maps > maps
+            assert pooled_ffts == {"fft", "ifft", "rfft", "irfft", "dct", "idct"}
+            # decompose runs the same analysis on the pool, with no workers
+            # on any thread
+            maps = pool.maps
+            pooled_ffts.clear()
+            with_workers.clear()
+            gabor.decompose(short_scene.data, magnify_bank())
+            assert pool.maps > maps
         finally:
             pool.shutdown()
-        assert pooled_ffts == {"fft", "ifft", "irfft", "dct", "idct"}
+        assert pooled_ffts == {"rfft", "ifft"} and not with_workers
 
     @pytest.mark.parametrize("columns", [1, 7], ids=["one-column", "seven-columns"])
     def test_column_blocks_do_not_change_results(self, short_scene, monkeypatch, columns):
