@@ -206,8 +206,8 @@ class TestBandedRenderer:
         assert not oracle[:lo].any() and not oracle[hi:].any()
         r, _ = simulate(scene)
         assert same_bits(r.data, oracle)
-        # the envelope is 0.0 at the reach, but not one unit of the exponent
-        # short of it: the margin is one factor e, not a looser band
+        # the envelope is 0.0 at the reach and not 0.0 at 1.7 units of the
+        # exponent inside it: the band is no wider than its margin of one unit
         z = simulate_module._UNDERFLOW_EXPONENT
         assert np.exp(-z) == 0.0 and np.exp(-(z - 1.7)) > 0.0
 
