@@ -149,7 +149,7 @@ def simulate(scene: SceneSpec, seed: int = 0) -> tuple[Radargram, np.ndarray]:
     n_bins, n_frames = scene.n_bins, scene.n_frames
     t = np.arange(n_frames) / scene.fps
     truth = np.zeros((len(scene.targets), n_frames))
-    positions = np.empty_like(truth)
+    centers = []
     for i, tg in enumerate(scene.targets):
         delta = tg.displacement_bins(t, scene.bin_spacing)
         center = (tg.center_range_m - scene.t0_offset) / scene.bin_spacing
@@ -161,15 +161,15 @@ def simulate(scene: SceneSpec, seed: int = 0) -> tuple[Radargram, np.ndarray]:
                 f"target {i} ({tg.kind}) leaves the range window at t={t[bad]:.3f}s "
                 f"(bin {position[bad]:.2f})")
         truth[i] = delta
-        positions[i] = position
+        centers.append(center)
     x = np.arange(n_bins, dtype=np.float64)[:, None]
     reach = _reach(scene.pulse_sigma_bins)
     data = np.zeros((n_bins, n_frames))
     step = max(1, _CHUNK_ELEMENTS // n_bins)
     for f0 in range(0, n_frames, step):
         cols = slice(f0, f0 + step)
-        for tg, position in zip(scene.targets, positions):
-            p = position[cols]
+        for tg, center, delta in zip(scene.targets, centers, truth):
+            p = center + delta[cols]
             lo = max(0, math.ceil(p.min() - reach))
             hi = min(n_bins, math.floor(p.max() + reach) + 1)
             data[lo:hi, cols] += tg.reflectivity * pulse_template(

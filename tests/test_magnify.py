@@ -157,6 +157,20 @@ class TestMagnify:
         track_ref = np.linalg.norm(scene_data.data[TRACK_SLICE]) ** 2
         assert abs(track_energy / track_ref - 1.0) < 0.05
 
+    def test_composition_of_amplifications(self):
+        # alpha1 then alpha2 composes to (1+alpha1)(1+alpha2) in the
+        # small-motion regime
+        alpha1, alpha2, amplitude = 2.0, 1.5, 0.1
+        bank = magnify_bank()
+        r, _ = simulate(validation_scene(amplitude_bins=amplitude), seed=0)
+        once = magnify(r, bank, MagnifyConfig(alpha=alpha1, band=SCENE_BAND))
+        twice = magnify(once, bank, MagnifyConfig(alpha=alpha2, band=SCENE_BAND))
+        expected_amplitude = (1 + alpha1) * (1 + alpha2) * amplitude
+        reference, _ = simulate(validation_scene(amplitude_bins=expected_amplitude), seed=0)
+        p2p = displacement_p2p(twice)
+        p2p_ref = displacement_p2p(reference)
+        assert abs(p2p - p2p_ref) / p2p_ref < 0.10
+
     def test_streams_one_level_at_a_time(self):
         # peak traced memory stays below 2.6 complex arrays of one level at
         # transform length, whatever the number of levels: about 2.1 with no
