@@ -3,8 +3,8 @@
 Subcommands: simulate, magnify, features, train, eval, render.  Every run is
 reproducible: the same flags and seeds produce byte-identical outputs.  Exit
 codes: 0 success (also for --help), 1 user error (bad flags, arguments,
-files, or configs, and OS errors reading or writing files; one line on
-stderr), 2 internal error.
+files, or configs, OS errors reading or writing files, and running out of
+memory; one line on stderr), 2 internal error.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import gabor
 from .features import (feature_names, featurize, read_features_csv,
                        read_labels_csv, write_features_csv)
 from .magnify import BandSpec, MagnifyConfig, magnify, magnify_windowed
-from .radargram import RangeROI, WindowSpec, load_radargram, save_radargram
+from .radargram import RangeROI, WindowSpec, load_radargram, message, naming, save_radargram
 from .regress import Dataset, kfold_mae, load_model, regress, save_model
 from .render import render_heatmap, write_ppm
 from .simulate import load_scene_config, save_truth_csv, simulate
@@ -139,10 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     scene = load_scene_config(args.scene)
-    try:
+    with naming(args.scene):   # e.g. n_bins = 1e12 cannot be allocated
         r, truth = simulate(scene, seed=args.seed)
-    except (MemoryError, ValueError) as exc:   # e.g. n_bins = 1e12 cannot be allocated
-        raise ValueError(f"{args.scene}: {exc}") from None
     save_radargram(r, args.output, format=args.format)
     if args.truth:
         save_truth_csv(truth, scene.fps, args.truth)
@@ -237,8 +235,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {message(exc)}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gabor import GaborBank, decompose
 from .magnify import BandSpec, MagnifyConfig, dct_bandpass, magnify, unwrap_phase
-from .radargram import Radargram, RangeROI, WindowSpec, config_number
+from .radargram import FormatError, Radargram, RangeROI, WindowSpec, config_number
 
 log = logging.getLogger(__name__)
 
@@ -165,8 +165,8 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     path decomposes every window.
 
     An invalid alpha, a record shorter than one window, an ROI beyond the
-    record, and a band above Nyquist or with no DCT bin at the window
-    length are ValueErrors, raised before any window is analysed; a
+    record, and a band above Nyquist or with no DCT or no DFT bin at the
+    window length are ValueErrors, raised before any window is analysed; a
     non-finite magnified coefficient or ROI power overflowing float64 is a
     ValueError too.  The one reason to skip a window, with a warning, is
     zero ROI amplitude at some level.
@@ -179,7 +179,9 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     # mistakes in the record's set-up fail once here, not once per window
     roi.validate(r.n_bins)
     band.validate(r.fps)
+    # a bin on the bandpass's DCT grid and on fft_peak_bpm's coarser DFT grid
     band.dct_bins(length, r.fps)
+    band.bins(np.fft.rfftfreq(length, 1.0 / r.fps))
     starts = wspec.starts(r.n_frames, r.fps)
     if alpha == 0.0:
         series, skips = level_signals(r, bank, band, roi, wspec)
@@ -233,10 +235,10 @@ def read_labels_csv(path: str) -> np.ndarray:
                     continue
                 values = []
             if len(values) != 2 or not np.isfinite(values).all():
-                raise ValueError(f"{path}:{lineno}: expected two numeric columns (time_s, bpm)")
+                raise FormatError(f"{path}:{lineno}: expected two numeric columns (time_s, bpm)")
             rows.append(values)
     if not rows:
-        raise ValueError(f"{path}:{lineno + 1}: expected two numeric columns (time_s, bpm)")
+        raise FormatError(f"{path}:{lineno + 1}: expected two numeric columns (time_s, bpm)")
     return np.array(rows)
 
 
@@ -257,21 +259,21 @@ def read_features_csv(path: str) -> tuple[list[FeatureRow], list[str]]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["window_start_s", "label_bpm"]:
-            raise ValueError(f"{path}: not a feature CSV (header {header[:2]})")
+            raise FormatError(f"{path}: not a feature CSV (header {header[:2]})")
         if len(header) == 2:
-            raise ValueError(f"{path}: no feature columns")
+            raise FormatError(f"{path}: no feature columns")
         repeated = [name for i, name in enumerate(header) if name in header[:i]]
         if repeated:
-            raise ValueError(f"{path}: repeated column {repeated[0]!r}")
+            raise FormatError(f"{path}: repeated column {repeated[0]!r}")
         rows = []
         for lineno, line in enumerate(fh, 2):
             parts = line.strip().split(",")
             if len(parts) != len(header):
-                raise ValueError(f"{path}:{lineno}: row with {len(parts)} fields, expected {len(header)}")
+                raise FormatError(f"{path}:{lineno}: row with {len(parts)} fields, expected {len(header)}")
             values = [None if (key, text) == ("label_bpm", "") else config_number(path, lineno, key, text)
                       for key, text in zip(header, parts)]
             rows.append(FeatureRow(window_start_s=values[0], features=np.array(values[2:]),
                                    label_bpm=values[1]))
     if not rows:
-        raise ValueError(f"{path}: no feature rows")
+        raise FormatError(f"{path}: no feature rows")
     return rows, header[2:]

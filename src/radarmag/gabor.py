@@ -37,7 +37,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy import ndimage
 
-from .radargram import FormatError, config_number, read_config
+from .radargram import FormatError, config_number, naming, read_config
 
 DEFAULT_WAVELENGTHS = (75.0, 15.0, 10.0, 9.0, 7.0, 5.0, 4.0)
 DEFAULT_BANDWIDTH_DIVISOR = 15.0
@@ -241,11 +241,9 @@ def load_bank_config(path: str) -> GaborBank:
         wavelengths, sigmas = [w for w, _ in levels], [s for _, s in levels]
     elif wavelengths is None:
         raise FormatError(f"{path}: config must define 'wavelengths' or 'level' entries")
-    try:
+    with naming(path):   # e.g. a sigma of 1e17 bins cannot be sampled
         return make_bank(wavelengths, sigmas=sigmas,
                          bandwidth_divisor=DEFAULT_BANDWIDTH_DIVISOR if divisor is None else divisor)
-    except (MemoryError, ValueError) as exc:   # e.g. a sigma of 1e17 bins cannot be sampled
-        raise FormatError(f"{path}: {exc}") from None
 
 
 def _analysis_input(signal: np.ndarray, bank: GaborBank):
@@ -276,11 +274,6 @@ def _transform_memory(bank: GaborBank, n: int):
             f"out of memory: the level of wavelength {widest.wavelength} and sigma {widest.sigma} "
             f"(radius {widest.support_radius} bins) needs a {bank.transform_length(n)}-point "
             f"transform of {n}-sample profiles") from None
-
-
-def _column(v: np.ndarray, ndim: int) -> np.ndarray:
-    """A per-frequency vector shaped to broadcast along axis 0 of an ndim array."""
-    return v.reshape((-1,) + (1,) * (ndim - 1))
 
 
 def _as_columns(a: np.ndarray) -> np.ndarray:
@@ -320,9 +313,9 @@ def _analyse(x: np.ndarray, bank: GaborBank, psis: np.ndarray, levels) -> None:
         padded[n:] = 0.0
         half = sfft.rfft(padded, axis=0)
         for psi, out in zip(psis, outs):
-            np.multiply(half, _column(psi[:h], 2), out=scratch[:h])
+            np.multiply(half, psi[:h, None], out=scratch[:h])
             tail = np.conjugate(half[m - h : 0 : -1], out=scratch[h:])
-            tail *= _column(psi[h:], 2)
+            tail *= psi[h:, None]
             out[:, cols] = sfft.ifft(scratch, axis=0, overwrite_x=True)[:n]
 
     with _transform_memory(bank, n):
@@ -372,7 +365,7 @@ def _synthesize(bank: GaborBank, psis: np.ndarray, n: int, frames: tuple, levels
     with _transform_memory(bank, n):
         acc = [np.zeros((h, cols.stop - cols.start), dtype=np.complex128) for cols in blocks]
     for k, level in enumerate(levels):
-        columns, psi = _as_columns(level), _column(psis[k], 2)
+        columns, psi = _as_columns(level), psis[k, :, None]
 
         def add(b: int) -> None:
             block = columns[:, blocks[b]]
@@ -393,7 +386,7 @@ def _synthesize(bank: GaborBank, psis: np.ndarray, n: int, frames: tuple, levels
     response = np.sum(np.abs(psis) ** 2, axis=0)
     response = response + np.roll(response[::-1], 1)
     floor = RESPONSE_FLOOR_RATIO * response.max()
-    gain = _column(np.maximum(response[:h], floor), 2)
+    gain = np.maximum(response[:h], floor)[:, None]
     out = np.empty((n,) + frames)
     out_columns = _as_columns(out)
 

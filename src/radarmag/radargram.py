@@ -11,6 +11,7 @@ import math
 import os
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,27 @@ _HEADER = struct.Struct("<4sIII ddd".replace(" ", ""))
 
 
 class FormatError(ValueError):
-    """Raised when a radargram file, sidecar or config file cannot be parsed."""
+    """Raised when an input file (radargram, sidecar, config, CSV, model or
+    image) cannot be parsed or holds invalid values; the message starts
+    with the file's path."""
+
+
+def message(exc: BaseException) -> str:
+    """The text of exc; a MemoryError without one reads 'out of memory'."""
+    return str(exc) or ("out of memory" if isinstance(exc, MemoryError) else "")
+
+
+@contextmanager
+def naming(where: str):
+    """Re-raise a ValueError or MemoryError from the block as a FormatError
+    that starts with ``where``, the input it came from.  A FormatError
+    already names its source and passes through unchanged."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except (ValueError, MemoryError) as exc:
+        raise FormatError(f"{where}: {message(exc)}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +171,7 @@ def save_radargram(r: Radargram, path: str, format: str = "binary") -> None:
                               r.fps, r.bin_spacing, r.t0_offset)
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(r.data.astype("<f8", copy=False).tobytes())
+            fh.write(r.data.astype("<f8", copy=False).data)
     elif format == "csv":
         np.savetxt(path, r.data, fmt="%.17g", delimiter=",")
         with open(path + ".meta", "w") as fh:
@@ -167,14 +188,16 @@ def load_radargram(path: str) -> Radargram:
     """Read a radargram written by save_radargram, in either format.
 
     A file that starts with the RGRM magic is binary; any other file is read
-    as CSV when its ``<path>.meta`` sidecar exists.
+    as CSV when its ``<path>.meta`` sidecar exists.  Every fault of the file,
+    its sidecar or the record they hold is a FormatError naming the file.
     """
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if header.startswith(MAGIC):
-            return _load_binary(path, fh, header)
-    if os.path.exists(path + ".meta"):
-        return _load_csv(path)
+    with naming(path):
+        with open(path, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            if header.startswith(MAGIC):
+                return _load_binary(path, fh, header)
+        if os.path.exists(path + ".meta"):
+            return _load_csv(path)
     raise FormatError(f"{path}: bad magic {header[:len(MAGIC)]!r}")
 
 
@@ -190,15 +213,7 @@ def _load_binary(path: str, fh, header: bytes) -> Radargram:
         raise FormatError(f"{path}: header declares {n_bins}x{n_frames} float64 samples "
                           f"({size} bytes), file holds {held}")
     data = np.frombuffer(fh.read(size), dtype="<f8").reshape(n_bins, n_frames)
-    return _radargram(path, data, fps, bin_spacing, t0)
-
-
-def _radargram(path: str, data, fps, bin_spacing, t0_offset) -> Radargram:
-    """The loaded record, with the constructor's validation errors naming the file."""
-    try:
-        return Radargram(data, fps=fps, bin_spacing=bin_spacing, t0_offset=t0_offset)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return Radargram(data, fps=fps, bin_spacing=bin_spacing, t0_offset=t0)
 
 
 def read_config(path: str, sections=(), repeatable=()) -> list[tuple[int, str, str | None]]:
@@ -264,14 +279,11 @@ def _load_csv(path: str) -> Radargram:
     for key in ("n_bins", "n_frames"):
         if not meta.get(key, 0.0).is_integer():
             raise FormatError(f"{path}.meta: {key} must be a whole number, got {meta[key]!r}")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)   # empty file; its shape is rejected below
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # empty file; its shape is rejected below
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
     declared = (int(meta.get("n_bins", data.shape[0])), int(meta.get("n_frames", data.shape[1])))
     if data.shape != declared:
         raise FormatError(f"{path}: {data.shape[0]}x{data.shape[1]} samples but sidecar declares "
                           f"n_bins={declared[0]}, n_frames={declared[1]}")
-    return _radargram(path, data, meta["fps"], meta["bin_spacing"], meta.get("t0_offset", 0.0))
+    return Radargram(data, meta["fps"], meta["bin_spacing"], meta.get("t0_offset", 0.0))

@@ -13,7 +13,7 @@ from scipy import linalg
 
 from .features import FeatureRow
 from .magnify import BandSpec
-from .radargram import FormatError, Radargram, RangeROI
+from .radargram import FormatError, Radargram, RangeROI, naming
 
 MODEL_MAGIC = b"RMGM"
 MODEL_VERSION = 1
@@ -435,10 +435,8 @@ def load_model(path: str):
     elif kind_code == 2:
         n_trees, n_features, seed = reader.unpack("<IIq")
         trees = [{key: reader.array(code) for key, code in _TREE_ARRAYS} for _ in range(n_trees)]
-        try:
+        with naming(path):
             model = ForestModel(trees, n_features=n_features, seed=seed)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
     else:
         raise FormatError(f"{path}: unknown model kind code {kind_code}")
     if reader.pos != len(reader.data):

@@ -9,7 +9,7 @@ from warnings import warn
 
 import numpy as np
 
-from .radargram import Radargram
+from .radargram import FormatError, Radargram
 
 COLORMAPS = ("gray", "jet")
 # Samples per row block: the colormap's float temporaries (a few per
@@ -68,15 +68,21 @@ def write_ppm(image: np.ndarray, path: str) -> None:
 
 
 def read_ppm(path: str) -> np.ndarray:
-    """Read back a P6 PPM written by write_ppm."""
+    """Read back a P6 PPM written by write_ppm.  A wrong magic, a dimension
+    line other than two whole numbers, a maxval other than 255 or short
+    pixel data is a FormatError naming the file."""
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"{path}: not a binary PPM")
-        dims = fh.readline().split()
-        width, height = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
-        if maxval != 255:
-            raise ValueError(f"{path}: unsupported maxval {maxval}")
-        data = np.frombuffer(fh.read(width * height * 3), dtype=np.uint8)
-    return data.reshape(height, width, 3)
+        if fh.readline().strip() != b"P6":
+            raise FormatError(f"{path}: not a binary PPM")
+        dims = fh.readline().decode("latin-1").split()
+        maxval = fh.readline().decode("latin-1").split()
+        data = fh.read()
+    if len(dims) != 2 or not all(d.isdecimal() for d in dims):
+        raise FormatError(f"{path}: expected 'width height', got {' '.join(dims)!r}")
+    if maxval != ["255"]:
+        raise FormatError(f"{path}: unsupported maxval {' '.join(maxval)}")
+    width, height = int(dims[0]), int(dims[1])
+    if len(data) < 3 * width * height:
+        raise FormatError(f"{path}: {width}x{height} pixels need {3 * width * height} bytes, "
+                          f"file holds {len(data)}")
+    return np.frombuffer(data, np.uint8, 3 * width * height).reshape(height, width, 3)

@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 from scipy import fft as sfft
 
-from .radargram import FormatError, Radargram, RangeROI, config_number, read_config
+from .radargram import FormatError, Radargram, RangeROI, config_number, naming, read_config
 
 TARGET_KINDS = ("sinusoid", "static", "linear")
 
@@ -244,16 +244,14 @@ def _spec(cls, values: dict, where: str):
     for f in fields(cls):
         if f.default is MISSING and f.name not in values:
             raise FormatError(f"{where}: missing required key {f.name!r}")
-    try:
+    with naming(where):
         return cls(**values)
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from None
 
 
 def save_truth_csv(truth: np.ndarray, fps: float, path: str) -> None:
     """Write ground-truth displacement traces: time_s plus one column per target."""
     n_targets, n_frames = truth.shape
     t = np.arange(n_frames) / fps
-    header = "time_s," + ",".join(f"delta_bins_t{i}" for i in range(n_targets))
+    header = ",".join(["time_s"] + [f"delta_bins_t{i}" for i in range(n_targets)])
     np.savetxt(path, np.column_stack([t, truth.T]), fmt="%.12g", delimiter=",",
                header=header, comments="")

@@ -421,6 +421,20 @@ class TestRecordLevelFeaturize:
         assert str(exc.value) == message
         assert messages == []
 
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_band_without_a_dft_bin_fails_before_any_window(self, record, monkeypatch, alpha):
+        # 1 s windows at 20 fps: the bandpass's DCT grid (0.5 Hz steps) has
+        # a bin in 0.1-0.7 Hz, fft_peak_bpm's DFT grid (1 Hz steps) has none
+        def analysed(*args, **kwargs):
+            raise AssertionError("a window was analysed")
+
+        monkeypatch.setattr(features_module, "decompose", analysed)
+        monkeypatch.setattr(features_module, "magnify", analysed)
+        with pytest.raises(ValueError) as exc:
+            featurize(record, default_bank(), WindowSpec(1.0, 0.5), RR_BAND, BREATHER_ROI,
+                      alpha=alpha)
+        assert str(exc.value) == "band [0.1, 0.7] Hz contains no DFT bins"
+
     def test_magnify_error_raises_once(self, record):
         with skip_log() as messages, pytest.raises(ValueError, match="need at least 4 frames, got 2"):
             featurize(record, default_bank(), WindowSpec(0.1, 0.1), BandSpec(0.0, 0.7),

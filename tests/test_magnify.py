@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 from scipy.ndimage import gaussian_filter1d
 
 from radarmag import (BandSpec, MagnifyConfig, Radargram, WindowSpec,
-                      dct_bandpass, decompose, default_bank, global_magnify, magnify,
+                      dct_bandpass, decompose, default_bank, featurize, global_magnify, magnify,
                       magnify_windowed, reconstruct, simulate, unwrap_phase, windows)
 from radarmag.magnify import (AMPLITUDE_MASK_RATIO, GATE_SMOOTH_S, PHASE_GATE_RATIO,
                               _check_finite, _gate_phase, _phasors, _rotate_windows)
 
-from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TRACK_SLICE, breather_scene,
-                    displacement_p2p, magnify_bank, validation_scene)
+from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TARGET_ROI, TRACK_SLICE,
+                    breather_scene, displacement_p2p, magnify_bank, validation_scene)
 
 
 class TestBandSpec:
@@ -834,3 +834,26 @@ class TestGlobalMagnify:
         out = global_magnify(frames, 50.0, MagnifyConfig(alpha=25.0, band=BandSpec(0.0, 25.0)))
         assert np.max(np.abs(out - frames)) <= 1e-9
 
+
+def test_outputs_do_not_depend_on_the_thread_count(monkeypatch):
+    # the pool's size sets how the phase op cuts a level into row blocks;
+    # no output may move with it
+    gabor, module = sys.modules["radarmag.gabor"], sys.modules["radarmag.magnify"]
+    r, _ = simulate(validation_scene(duration_s=6.0), seed=0)
+    bank, cfg = magnify_bank(), MagnifyConfig(alpha=10.0, band=SCENE_BAND)
+    outputs = {}
+    for threads in (1, 2, 3):
+        pool = ThreadPoolExecutor(threads, thread_name_prefix="radarmag")
+        monkeypatch.setattr(gabor, "_pool", lambda: pool)
+        for owner in (gabor, module):
+            monkeypatch.setattr(owner, "_cpus", lambda: threads)
+        try:
+            rows = featurize(r, bank, WindowSpec(2.0, 2.0), SCENE_BAND, TARGET_ROI, alpha=2.0)
+            outputs[threads] = [magnify(r, bank, cfg).data,
+                                magnify_windowed(r, bank, cfg, WindowSpec(1.0, 0.5)).data,
+                                np.stack(decompose(r.data, bank).levels),
+                                np.stack([row.features for row in rows])]
+        finally:
+            pool.shutdown()
+    for threads in (2, 3):
+        assert all(np.array_equal(a, b) for a, b in zip(outputs[threads], outputs[1]))

@@ -1,8 +1,13 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from radarmag import (FormatError, Radargram, RangeROI, WindowSpec,
-                      load_radargram, save_radargram, windows)
+from radarmag import (FormatError, Radargram, RangeROI, WindowSpec, load_bank_config,
+                      load_model, load_radargram, load_scene_config, read_features_csv,
+                      read_labels_csv, read_ppm, save_radargram, windows)
+from radarmag.radargram import naming
 
 
 def make_radargram(n_bins=8, n_frames=16, fps=100.0, seed=0):
@@ -76,6 +81,21 @@ class TestBinaryFormat:
             with pytest.raises(FormatError, match=f"^{path}: "):
                 load_radargram(path)
 
+    def test_save_writes_the_record_without_a_copy(self, tmp_path):
+        # header then the samples' own buffer: the bytes are the layout's,
+        # and no record-sized copy is made on the way
+        r = make_radargram(n_bins=256, n_frames=512)
+        path = tmp_path / "r.rgrm"
+        tracemalloc.start()
+        try:
+            save_radargram(r, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < r.data.nbytes / 4
+        header = struct.pack("<4sIII3d", b"RGRM", 1, 256, 512, r.fps, r.bin_spacing, 0.0)
+        assert path.read_bytes() == header + r.data.astype("<f8").tobytes()
+
     def test_write_to_unwritable_location(self, tmp_path):
         r = make_radargram()
         with pytest.raises(OSError):
@@ -134,6 +154,59 @@ class TestCsvFormat:
         with pytest.raises(FormatError) as info:
             load_radargram(path)
         assert str(info.value) == path + ".meta" + message
+
+
+class TestNaming:
+    @pytest.mark.parametrize("exc, message", [
+        (ValueError("fps must be positive"), "src: fps must be positive"),
+        (MemoryError("Unable to allocate 8.00 EiB"), "src: Unable to allocate 8.00 EiB"),
+        (MemoryError(), "src: out of memory"),
+    ], ids=["value-error", "memory-error", "bare-memory-error"])
+    def test_names_the_source(self, exc, message):
+        with pytest.raises(FormatError) as info, naming("src"):
+            raise exc
+        assert str(info.value) == message
+
+    def test_format_error_is_not_prefixed_twice(self):
+        # a FormatError already names its source
+        raised = FormatError("inner.cfg:3: bad value 'x' for 'fps'")
+        with pytest.raises(FormatError) as info, naming("src"), naming("src"):
+            raise raised
+        assert info.value is raised
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(TypeError, match="^unrelated$"), naming("src"):
+            raise TypeError("unrelated")
+
+
+SIDECAR = b"fps=10\nbin_spacing=0.1\n"
+
+
+@pytest.mark.parametrize("reader, files, broken", [
+    (load_radargram, {"r.rgrm": struct.pack("<4sIII3d", b"RGRM", 1, 2, 3, 10.0, 0.1, 0.0)
+                      + bytes(40)}, "r.rgrm"),
+    (load_radargram, {"r.csv": b"1,2,3\n4,x,6\n", "r.csv.meta": SIDECAR}, "r.csv"),
+    (load_radargram, {"r.csv": b"1,2,3\n4,5,6\n", "r.csv.meta": SIDECAR + b"n_bins=3\n"}, "r.csv"),
+    (load_radargram, {"r.csv": b"1,2,3\n", "r.csv.meta": b"fps=10\nbin_spacing=x\n"}, "r.csv.meta"),
+    (load_scene_config, {"scene.cfg": b"duration_s=2\nfps=-1\nn_bins=8\nbin_spacing=1\n"},
+     "scene.cfg"),
+    (load_bank_config, {"bank.cfg": b"wavelengths = 16, -8\n"}, "bank.cfg"),
+    (read_labels_csv, {"labels.csv": b"time_s,bpm\n0,60,1\n"}, "labels.csv"),
+    (read_features_csv, {"features.csv": b"window_start_s,label_bpm,f0\n0,\n"}, "features.csv"),
+    (load_model, {"model.bin": b"RMGM" + struct.pack("<II", 1, 2)}, "model.bin"),
+    (read_ppm, {"x.ppm": b"P6\n3\n255\n"}, "x.ppm"),
+], ids=["binary-radargram", "csv-radargram", "csv-shape", "sidecar", "scene-config",
+        "bank-config", "labels-csv", "feature-csv", "model", "ppm"])
+def test_every_reader_names_the_broken_file(tmp_path, reader, files, broken):
+    # each reader of outside input is given the first file; its FormatError
+    # starts with the path of the file at fault, once
+    for name, blob in files.items():
+        (tmp_path / name).write_bytes(blob)
+    with pytest.raises(FormatError) as info:
+        reader(str(tmp_path / next(iter(files))))
+    path = str(tmp_path / broken)
+    assert str(info.value).startswith(path + ":"), str(info.value)
+    assert not str(info.value).startswith(f"{path}: {tmp_path}"), str(info.value)
 
 
 class TestWindows:

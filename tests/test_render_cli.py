@@ -12,9 +12,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import radarmag
-from radarmag import (Dataset, FeatureRow, Radargram, default_bank, feature_names, fit_ols,
-                      fit_rf, load_radargram, read_ppm, render_heatmap, save_model,
+from radarmag import (Dataset, FeatureRow, FormatError, Radargram, default_bank, feature_names,
+                      fit_ols, fit_rf, load_radargram, read_ppm, render_heatmap, save_model,
                       save_radargram, simulate, write_features_csv, write_ppm)
+from radarmag import cli
 from radarmag.cli import main
 from radarmag.render import _jet
 
@@ -71,6 +72,19 @@ class TestRender:
         path = str(tmp_path / "x.ppm")
         write_ppm(image, path)
         assert np.array_equal(read_ppm(path), image)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"P6\n3\n255\n", "expected 'width height', got '3'"),
+        (b"P6\n3 x\n255\n" + bytes(27), "expected 'width height', got '3 x'"),
+        (b"P6\n3 3\n65535\n" + bytes(54), "unsupported maxval 65535"),
+        (b"P6\n3 3\n255\nabc", "3x3 pixels need 27 bytes, file holds 3"),
+    ], ids=["one-dimension", "non-integer-dimension", "maxval", "short-pixel-data"])
+    def test_bad_ppm_names_the_file(self, tmp_path, blob, message):
+        path = tmp_path / "x.ppm"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError) as exc:
+            read_ppm(str(path))
+        assert str(exc.value) == f"{path}: {message}"
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +420,29 @@ def run_render(root, blob):
     code, err = run_cli(["render", str(path), str(root / "x.ppm")])
     assert code == 1 and len(err) == 1 and err[0].startswith(f"error: {path}: "), (code, err)
     return err[0]
+
+
+@pytest.mark.parametrize("text", ["Unable to allocate 8.00 EiB", ""], ids=["text", "no-text"])
+@pytest.mark.parametrize("command, callee", [
+    ("simulate", "simulate"), ("magnify", "magnify"), ("features", "featurize"),
+    ("train", "kfold_mae"), ("eval", "load_model"), ("render", "render_heatmap")])
+def test_out_of_memory_is_one_line(small_rgrm, eval_inputs, monkeypatch, command, callee, text):
+    # a MemoryError anywhere in a command is a user error: exit 1, one line
+    def exhausted(*args, **kwargs):
+        raise MemoryError(text)
+
+    monkeypatch.setattr(cli, callee, exhausted)
+    rgrm, out = str(small_rgrm[0] / "r.rgrm"), str(small_rgrm[0] / "out")
+    features, model = str(eval_inputs[0] / "features.csv"), str(eval_inputs[0] / "rf")
+    argv = {"simulate": ["configs/validation_scene.cfg", "-o", out],
+            "magnify": [rgrm, out, "--alpha", "1", "--band", "1:2"],
+            "features": [rgrm, "-o", out, "--band", "1:2", "--window", "0.2:0.1", "--roi", "0:1"],
+            "train": [features, "-o", out],
+            "eval": [model, features],
+            "render": [rgrm, out]}[command]
+    code, err = run_cli([command] + argv)
+    assert code == 1 and len(err) == 1, (code, err)
+    assert err[0].startswith("error: ") and err[0].endswith(text or ": out of memory"), err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import hilbert
 
-from radarmag import (FormatError, RangeROI, SceneSpec, TargetSpec,
-                      estimate_displacement, load_scene_config, pulse_template, simulate)
+from radarmag import (FormatError, RangeROI, SceneSpec, TargetSpec, estimate_displacement,
+                      load_scene_config, pulse_template, save_truth_csv, simulate)
 
 from scenes import validation_scene
 
@@ -71,6 +71,14 @@ class TestSimulate:
         assert np.allclose(truth[0], 0.1 * np.sin(2 * np.pi * 45.0 * t))
         assert np.allclose(truth[1], 0.0)
         assert np.allclose(truth[3], -0.0390625 * t / scene.bin_spacing)
+
+    @pytest.mark.parametrize("n_targets", [0, 1, 3])
+    def test_truth_csv_header_fits_its_rows(self, tmp_path, n_targets):
+        path = tmp_path / "truth.csv"
+        save_truth_csv(np.zeros((n_targets, 4)), 10.0, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(["time_s"] + [f"delta_bins_t{i}" for i in range(n_targets)])
+        assert len(lines) == 5 and {len(line.split(",")) for line in lines} == {n_targets + 1}
 
     def test_target_leaving_window_is_rejected(self):
         scene = SceneSpec(duration_s=5.0, fps=100.0, n_bins=64, bin_spacing=0.01,
