@@ -6,6 +6,9 @@ bandpassed and scaled to magnify (or attenuate) sub-bin motion, and the
 levels are collapsed back into a radargram.  The same phase signals feed
 per-window spectral-peak and zero-crossing features for respiration and
 heart-rate regression.
+
+scipy is imported inside the functions that use it, so importing the
+package loads none of it, and a process pays for only the parts it calls.
 """
 
 from .radargram import (FormatError, Radargram, RangeROI, WindowSpec,

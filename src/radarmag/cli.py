@@ -166,7 +166,7 @@ def cmd_features(args) -> int:
     bank = _load_bank(args.bank)
     labels = read_labels_csv(args.labels) if args.labels else None
     rows = featurize(r, bank, args.window, args.band, args.roi,
-                     labels=labels, alpha=args.alpha)
+                     labels=labels, alpha=args.alpha, labels_name=args.labels)
     write_features_csv(rows, feature_names(bank), args.output)
     print(f"wrote {args.output} ({len(rows)} windows x {2 * len(bank)} features)")
     return 0

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gabor import GaborBank, decompose
 from .magnify import BandSpec, MagnifyConfig, dct_bandpass, magnify, unwrap_phase
-from .radargram import FormatError, Radargram, RangeROI, WindowSpec, config_number
+from .radargram import FormatError, Radargram, RangeROI, WindowSpec, config_number, naming
 
 log = logging.getLogger(__name__)
 
@@ -149,14 +149,15 @@ def feature_names(bank: GaborBank) -> list[str]:
 
 def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
               roi: RangeROI, labels: np.ndarray | None = None,
-              alpha: float = 0.0) -> list[FeatureRow]:
+              alpha: float = 0.0, labels_name: str = "labels") -> list[FeatureRow]:
     """Feature rows for every window of a record.
 
     Features per window: fft_peak_bpm per level (searched inside ``band``)
     followed by zcr_hz per level, 2 x levels in total, each taken once over
     the levels x windows stack of level_signals.  labels, if given, is a
     (time_s, bpm) array; each window's label is the mean bpm over its
-    frames, [start, start + length) / fps.
+    frames, [start, start + length) / fps.  A window without a label sample
+    is a FormatError starting with labels_name, the labels' source.
 
     With alpha = 0 the record is analysed once by level_signals.  alpha != 0
     cuts each window from the record when it comes to it, magnifies it on
@@ -165,11 +166,11 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     path decomposes every window.
 
     An invalid alpha, a record shorter than one window, an ROI beyond the
-    record, and a band above Nyquist or with no DCT or no DFT bin at the
-    window length are ValueErrors, raised before any window is analysed; a
-    non-finite magnified coefficient or ROI power overflowing float64 is a
-    ValueError too.  The one reason to skip a window, with a warning, is
-    zero ROI amplitude at some level.
+    record, a band above Nyquist or with no DCT or no DFT bin at the window
+    length, and a window without a label sample are ValueErrors, raised
+    before any window is analysed; a non-finite magnified coefficient or
+    ROI power overflowing float64 is a ValueError too.  The one reason to
+    skip a window, with a warning, is zero ROI amplitude at some level.
     """
     cfg = MagnifyConfig(alpha=alpha, band=band)
     length, _ = wspec.frames(r.fps)
@@ -183,6 +184,11 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
     band.dct_bins(length, r.fps)
     band.bins(np.fft.rfftfreq(length, 1.0 / r.fps))
     starts = wspec.starts(r.n_frames, r.fps)
+    window_labels = [None] * len(starts)
+    if labels is not None:
+        with naming(labels_name):
+            window_labels = [window_label(labels, start / r.fps, (start + length) / r.fps)
+                             for start in starts]
     if alpha == 0.0:
         series, skips = level_signals(r, bank, band, roi, wspec)
     else:
@@ -195,14 +201,11 @@ def featurize(r: Radargram, bank: GaborBank, wspec: WindowSpec, band: BandSpec,
             skips.append(skip)
     feats = np.concatenate([fft_peak_bpm(series, r.fps, band), zcr_hz(series, r.fps)])
     out = []
-    for start, skip, row in zip(starts, skips, feats.T):
+    for start, skip, row, label in zip(starts, skips, feats.T, window_labels):
         start_s = start / r.fps
         if skip is not None:
             log.warning("skipping window at %.2fs: %s", start_s, skip)
             continue
-        label = None
-        if labels is not None:
-            label = window_label(labels, start_s, (start + length) / r.fps)
         out.append(FeatureRow(window_start_s=start_s, features=row, label_bpm=label))
     return out
 

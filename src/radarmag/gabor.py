@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import fft as sfft
-from scipy import ndimage
 
 from .radargram import FormatError, config_number, naming, read_config
 
@@ -147,6 +145,8 @@ class GaborBank:
         cached = self._responses.get(m)
         if cached is not None:
             return cached
+        from scipy import fft as sfft
+
         if m < 2 * self.max_radius + 1:
             raise ValueError(f"transform length {m} shorter than kernel support {2 * self.max_radius + 1}")
         psis = np.empty((len(self.levels), m), dtype=np.complex128)
@@ -161,6 +161,8 @@ class GaborBank:
 
     def transform_length(self, n: int) -> int:
         """Zero-padded length for n samples: no kernel wraps around the signal."""
+        from scipy import fft as sfft
+
         # 5-smooth lengths only: radix-7/11 passes are slow (a 726 = 2*3*11^2
         # point transform takes about twice as long as a 729 = 3^6 one)
         return sfft.next_fast_len(n + 2 * self.max_radius, real=True)
@@ -249,6 +251,15 @@ def load_bank_config(path: str) -> GaborBank:
 def _analysis_input(signal: np.ndarray, bank: GaborBank):
     """The validated float64 signal and the bank's responses at its
     transform length."""
+    # scipy.fft, and the scipy.ndimage that magnify's phase gate filters
+    # with, load here, on the calling thread, so a pool task only re-reads
+    # them; and at a process's first analysis, so their long-lived
+    # allocations do not land among the buffers of a magnify run.  Loaded
+    # in the middle of one, they raised the peak RSS of repeated 512 x 6000
+    # magnify calls from 223 to 247 MB in some processes.
+    import scipy.fft  # noqa: F401
+    import scipy.ndimage  # noqa: F401
+
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim not in (1, 2):
         raise ValueError(f"expected 1-D profile or 2-D radargram matrix, got shape {x.shape}")
@@ -301,6 +312,8 @@ def _analyse(x: np.ndarray, bank: GaborBank, psis: np.ndarray, levels) -> None:
     its half as the product is formed, and its inverse keeps rows [:n].  So
     no spectrum of the whole signal is held.
     """
+    from scipy import fft as sfft
+
     n, m = x.shape[0], psis.shape[1]
     h = m // 2 + 1
     signal_columns, outs = _as_columns(x), [_as_columns(level) for level in levels]
@@ -358,6 +371,8 @@ def _synthesize(bank: GaborBank, psis: np.ndarray, n: int, frames: tuple, levels
     level is let go before the inverse, so an iterable that alone holds
     its levels has freed them by then.
     """
+    from scipy import fft as sfft
+
     m = psis.shape[1]
     h = m // 2 + 1
     width = math.prod(frames)
@@ -437,6 +452,8 @@ def decompose_direct(signal: np.ndarray, bank: GaborBank) -> Pyramid:
     Real and imaginary kernel parts are convolved separately along the bin
     axis, with zero padding as in decompose.
     """
+    from scipy import ndimage
+
     x = np.asarray(signal, dtype=np.float64)
     levels = []
     for ker in bank.kernels:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import fft as sfft
-from scipy.ndimage import gaussian_filter1d
 
 # decompose is not called here; it stays bound in this module because the
 # benchmark self-test (perfbench/selftest.py) checks its tracing wrapper here.
@@ -126,6 +124,8 @@ def dct_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1)
     (Martucci, IEEE TSP 1994): DCT bin k, at frequency k * fps / (2n), is
     kept when it lies in [f_lo, f_hi].
     """
+    from scipy import fft as sfft
+
     x = np.asarray(series, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("series contains non-finite samples")
@@ -145,6 +145,8 @@ def dct_bandpass(series: np.ndarray, fps: float, band: BandSpec, axis: int = -1)
 def _ones_response(sigma: float) -> float:
     """gaussian_filter1d's response to a run of ones: every output sample of
     an all-ones series is this one value."""
+    from scipy.ndimage import gaussian_filter1d
+
     return float(gaussian_filter1d(np.ones(1), sigma, mode="nearest")[0])
 
 
@@ -163,6 +165,8 @@ def _gate_phase(phase: np.ndarray, above: np.ndarray, sigma: float) -> None:
     segment's padding keeps its neighbours out of its own samples.  So the
     product is the full filter's, bit for bit.
     """
+    from scipy.ndimage import gaussian_filter1d
+
     n = phase.shape[1]
     radius = int(4 * sigma + 0.5)
     flat, mask = phase.reshape(-1), above.reshape(-1)
@@ -391,6 +395,8 @@ def global_magnify(frames: np.ndarray, fps: float, cfg: MagnifyConfig) -> np.nda
     Exact (to roundoff) for band-limited periodic profiles under sub-period
     global shifts.
     """
+    from scipy import fft as sfft
+
     stack = np.asarray(frames, dtype=np.float64)
     if stack.ndim != 2:
         raise ValueError(f"expected frames stacked as 2-D (n_frames x n_bins), got {stack.shape}")

@@ -9,7 +9,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .features import FeatureRow
 from .magnify import BandSpec
@@ -176,6 +175,8 @@ def fit_ols(train: Dataset, ridge: float = 0.0) -> LinearModel:
         d = X.shape[1]
         A = np.vstack([A, np.sqrt(ridge) * np.eye(d)])
         b = np.concatenate([b, np.zeros(d)])
+    from scipy import linalg
+
     w = linalg.lstsq(A, b)[0]
     return LinearModel(weights=w, intercept=float(y_mean - x_mean @ w), ridge=ridge)
 

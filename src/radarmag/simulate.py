@@ -18,7 +18,6 @@ import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-from scipy import fft as sfft
 
 from .radargram import FormatError, Radargram, RangeROI, config_number, naming, read_config
 
@@ -195,6 +194,8 @@ def estimate_displacement(r: Radargram, roi: RangeROI) -> np.ndarray:
     roi.validate(r.n_bins)
     if roi.n_bins < 3:
         raise ValueError("ROI must span at least 3 bins for parabolic interpolation")
+    from scipy import fft as sfft
+
     # the analytic signal as scipy.signal.hilbert forms it, in place: double
     # the positive frequencies, zero the negative ones (Nyquist, if any, kept)
     n = r.n_bins

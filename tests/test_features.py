@@ -435,6 +435,31 @@ class TestRecordLevelFeaturize:
                       alpha=alpha)
         assert str(exc.value) == "band [0.1, 0.7] Hz contains no DFT bins"
 
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    def test_uncovered_window_fails_before_any_window(self, record, monkeypatch, tmp_path,
+                                                      capsys, alpha):
+        # labels at 0 and 1 s cover the first 10 s window but not the one at 5 s
+        def analysed(*args, **kwargs):
+            raise AssertionError("a window was analysed")
+
+        monkeypatch.setattr(features_module, "decompose", analysed)
+        monkeypatch.setattr(features_module, "magnify", analysed)
+        labels = np.array([[0.0, 60.0], [1.0, 62.0]])
+        with pytest.raises(ValueError) as exc:
+            featurize(record, default_bank(), WindowSpec(10.0, 5.0), RR_BAND, BREATHER_ROI,
+                      labels=labels, alpha=alpha)
+        assert str(exc.value) == "labels: no label samples cover window starting at 5.0s"
+        # the CLI names the labels file
+        rgrm, path = str(tmp_path / "r.rgrm"), tmp_path / "labels.csv"
+        save_radargram(record, rgrm)
+        path.write_text("time_s,bpm\n0,60\n1,62\n")
+        code = main(["features", rgrm, "-o", str(tmp_path / "f.csv"), "--band", "0.1:0.7",
+                     "--window", "10:5", "--roi", "34:62", "--labels", str(path),
+                     "--alpha", str(alpha)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: no label samples cover window starting at 5.0s"]
+
     def test_magnify_error_raises_once(self, record):
         with skip_log() as messages, pytest.raises(ValueError, match="need at least 4 frames, got 2"):
             featurize(record, default_bank(), WindowSpec(0.1, 0.1), BandSpec(0.0, 0.7),

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -363,7 +364,7 @@ class TestColumnBlocks:
             threads.add(threading.current_thread().name)
             raise MemoryError
 
-        monkeypatch.setattr(gabor.sfft, "rfft", rfft)
+        monkeypatch.setattr(scipy.fft, "rfft", rfft)
         x = np.random.default_rng(15).standard_normal((200, 45))
         message = (r"out of memory: the level of wavelength 75\.0 and sigma 5\.0 \(radius 20 "
                    r"bins\) needs a \d+-point transform of 200-sample profiles")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import types
 
+import numpy as np
+
 import radarmag
 
 
@@ -23,16 +25,41 @@ def run_probe(code: str) -> str:
                           text=True, check=True).stdout
 
 
-def test_import_loads_no_scipy_signal_or_stats():
-    # nothing in the package imports scipy.signal (nor the scipy.stats it
-    # pulls in), so importing the package and CLI stays light, and so does
-    # estimate_displacement, which forms its analytic signal with scipy.fft
+def test_commands_without_transforms_load_no_scipy(tmp_path):
+    # scipy is imported inside the functions that use it, so importing the
+    # package and CLI, and every command that runs no transform, loads none
+    # of it; estimate_displacement, which forms its analytic signal with
+    # scipy.fft, loads no scipy.signal (nor the scipy.stats it pulls in)
+    scene = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(radarmag.__file__))),
+                         "configs", "validation_scene.cfg")
+    rows = [radarmag.FeatureRow(float(i), np.array([i % 5, i % 3], dtype=float), 60.0 + i)
+            for i in range(12)]
+    radarmag.write_features_csv(rows, ["a", "b"], str(tmp_path / "f.csv"))
     out = run_probe(
-        "import sys, numpy as np, radarmag as rm, radarmag.cli\n"
+        "import contextlib, io, os, sys, numpy as np\n"
+        "import radarmag as rm, radarmag.cli as cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print('import', scipy_modules())\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        "for argv in (['--help'],\n"
+        f"             ['simulate', {scene!r}, '-o', 'r.rgrm'],\n"
+        "             ['render', 'r.rgrm', 'r.ppm'],\n"
+        "             ['train', 'f.csv', '--model', 'rf', '-o', 'rf.bin', '--folds', '3',\n"
+        "              '--trees', '5'],\n"
+        "             ['eval', 'rf.bin', 'f.csv']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            code = cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    print(argv[0], code, scipy_modules())\n"
         "r = rm.Radargram(np.random.default_rng(0).standard_normal((64, 50)), 20.0, 0.01)\n"
         "rm.estimate_displacement(r, rm.RangeROI(10, 30))\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n")
-    assert out.strip() == "[]"
+        "print('estimate_displacement', "
+        "sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n")
+    assert out.splitlines() == ["import []", "--help 0 []", "simulate 0 []", "render 0 []",
+                                "train 0 []", "eval 0 []", "estimate_displacement []"]
 
 
 def test_single_block_levels_start_no_thread():
