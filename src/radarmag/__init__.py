@@ -11,6 +11,8 @@ scipy is imported inside the functions that use it, so importing the
 package loads none of it, and a process pays for only the parts it calls.
 """
 
+from types import ModuleType as _ModuleType
+
 from .radargram import (FormatError, Radargram, RangeROI, WindowSpec,
                         load_radargram, save_radargram, windows)
 from .gabor import (GaborBank, GaborParams, Pyramid, decompose,
@@ -31,19 +33,7 @@ from .render import render_heatmap, read_ppm, write_ppm
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandSpec", "Dataset", "FeatureRow", "ForestModel", "FormatError",
-    "GaborBank", "GaborParams", "LinearModel", "MagnifyConfig",
-    "ModelReport", "DEFAULT_WAVELENGTHS", "Pyramid", "Radargram", "RangeROI",
-    "SceneSpec", "TargetSpec", "WindowSpec",
-    "dct_bandpass", "decompose", "decompose_direct",
-    "default_bank", "dyadic_bank", "estimate_displacement", "feature_names",
-    "featurize", "fft_peak_bpm", "fit_ols", "fit_rf", "global_magnify",
-    "kfold_mae", "level_signals", "load_bank_config", "load_model",
-    "load_radargram", "load_scene_config", "magnify", "magnify_windowed",
-    "make_bank", "make_gabor", "pulse_template", "read_features_csv",
-    "read_labels_csv", "read_ppm", "reconstruct", "render_heatmap",
-    "save_model", "save_radargram", "save_truth_csv", "simulate",
-    "temporal_fft_baseline", "unwrap_phase", "windows",
-    "write_features_csv", "write_ppm", "zcr_hz",
-]
+# every public name bound above; the imports bind the submodules too, which
+# are not part of the API
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -18,9 +18,10 @@ from . import gabor
 from .features import (feature_names, featurize, read_features_csv,
                        read_labels_csv, write_features_csv)
 from .magnify import BandSpec, MagnifyConfig, magnify, magnify_windowed
-from .radargram import RangeROI, WindowSpec, load_radargram, message, naming, save_radargram
-from .regress import Dataset, kfold_mae, load_model, regress, save_model
-from .render import render_heatmap, write_ppm
+from .radargram import (FORMATS, RangeROI, WindowSpec, load_radargram, message, naming,
+                        save_radargram)
+from .regress import MODEL_KINDS, Dataset, kfold_mae, load_model, regress, save_model
+from .render import COLORMAPS, render_heatmap, write_ppm
 from .simulate import load_scene_config, save_truth_csv, simulate
 
 
@@ -57,15 +58,12 @@ def _seed(text: str) -> int:
     raise argparse.ArgumentTypeError(f"{text!r} is not an integer in [0, 2**63)")
 
 
-class UsageError(ValueError):
-    """A malformed command line; reported as a user error (exit 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError instead of printing usage and exiting 2."""
+    """Raises ValueError, a user error (exit 1), instead of printing usage
+    and exiting 2."""
 
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _load_bank(path: str | None) -> gabor.GaborBank:
@@ -83,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0, help="noise RNG seed (integer)")
     p.add_argument("-o", "--output", required=True, help="output radargram path")
     p.add_argument("--truth", help="also write ground-truth displacement traces (CSV, bins)")
-    p.add_argument("--format", choices=("binary", "csv"), default="binary",
+    p.add_argument("--format", choices=FORMATS, default="binary",
                    help="radargram file format (default binary)")
 
     p = sub.add_parser("magnify", help="magnify in-band motion of a radargram")
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="cross-validate and fit a regressor on a feature CSV")
     p.add_argument("features", help="labeled feature CSV from the features subcommand")
-    p.add_argument("--model", choices=("rf", "ols"), default="rf", help="model kind (default rf)")
+    p.add_argument("--model", choices=MODEL_KINDS, default="rf", help="model kind (default rf)")
     p.add_argument("-o", "--output", required=True, help="output model file")
     p.add_argument("--folds", type=int, default=10, help="cross-validation folds (default 10)")
     p.add_argument("--seed", type=_seed, default=0, help="shuffle and forest seed (integer)")
@@ -130,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a radargram heatmap to binary PPM")
     p.add_argument("input", help="input radargram (binary or CSV)")
     p.add_argument("output", help="output PPM image")
-    p.add_argument("--colormap", choices=("gray", "jet"), default="jet",
+    p.add_argument("--colormap", choices=COLORMAPS, default="jet",
                    help="colormap (default jet)")
     p.add_argument("--clip", type=_clip, default=(1.0, 99.0),
                    help="clip percentiles LO:HI (default 1:99)")
@@ -174,7 +172,8 @@ def cmd_features(args) -> int:
 
 def cmd_train(args) -> int:
     rows, _ = read_features_csv(args.features)
-    data = Dataset.from_rows(rows)
+    with naming(args.features):
+        data = Dataset.from_rows(rows)
     if args.model == "rf":
         params = dict(n_trees=args.trees, max_depth=args.max_depth, min_leaf=args.min_leaf)
     else:
@@ -192,8 +191,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     rows, _ = read_features_csv(args.features)
-    X = np.stack([row.features for row in rows])
-    predictions = model.predict(X)
+    with naming(args.features):
+        predictions = model.predict(np.stack([row.features for row in rows]))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write("window_start_s,prediction_bpm\n")

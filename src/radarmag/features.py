@@ -24,7 +24,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FeatureRow:
-    """Feature vector of one window: FFT-peak bpm then zcr (in bpm) per level."""
+    """Feature vector of one window: FFT-peak bpm then zcr (in Hz) per level."""
 
     window_start_s: float
     features: np.ndarray
@@ -245,10 +245,14 @@ def read_labels_csv(path: str) -> np.ndarray:
     return np.array(rows)
 
 
+# the feature CSV's columns before the features
+CSV_LEADING = ("window_start_s", "label_bpm")
+
+
 def write_features_csv(rows: list[FeatureRow], names: list[str], path: str) -> None:
     """Deterministic CSV: window_start_s, label_bpm, then the feature columns."""
     with open(path, "w") as fh:
-        fh.write("window_start_s,label_bpm," + ",".join(names) + "\n")
+        fh.write(",".join((*CSV_LEADING, *names)) + "\n")
         for row in rows:
             label = "" if row.label_bpm is None else f"{row.label_bpm:.12g}"
             feats = ",".join(f"{v:.12g}" for v in row.features)
@@ -261,7 +265,7 @@ def read_features_csv(path: str) -> tuple[list[FeatureRow], list[str]]:
     an empty label."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if header[:2] != ["window_start_s", "label_bpm"]:
+        if tuple(header[:2]) != CSV_LEADING:
             raise FormatError(f"{path}: not a feature CSV (header {header[:2]})")
         if len(header) == 2:
             raise FormatError(f"{path}: no feature columns")
@@ -273,7 +277,7 @@ def read_features_csv(path: str) -> tuple[list[FeatureRow], list[str]]:
             parts = line.strip().split(",")
             if len(parts) != len(header):
                 raise FormatError(f"{path}:{lineno}: row with {len(parts)} fields, expected {len(header)}")
-            values = [None if (key, text) == ("label_bpm", "") else config_number(path, lineno, key, text)
+            values = [None if (key, text) == (CSV_LEADING[1], "") else config_number(path, lineno, key, text)
                       for key, text in zip(header, parts)]
             rows.append(FeatureRow(window_start_s=values[0], features=np.array(values[2:]),
                                    label_bpm=values[1]))

@@ -256,7 +256,9 @@ def _analysis_input(signal: np.ndarray, bank: GaborBank):
     # them; and at a process's first analysis, so their long-lived
     # allocations do not land among the buffers of a magnify run.  Loaded
     # in the middle of one, they raised the peak RSS of repeated 512 x 6000
-    # magnify calls from 223 to 247 MB in some processes.
+    # magnify calls from 223 to 247 MB in some processes.  scipy.ndimage
+    # serves only magnify's gate, but moving it into magnify brought that
+    # peak back, so a process that only extracts features loads it too.
     import scipy.fft  # noqa: F401
     import scipy.ndimage  # noqa: F401
 

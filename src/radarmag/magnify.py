@@ -25,9 +25,10 @@ from functools import cache
 
 import numpy as np
 
+from . import gabor
 # decompose is not called here; it stays bound in this module because the
 # benchmark self-test (perfbench/selftest.py) checks its tracing wrapper here.
-from .gabor import GaborBank, _cpus, _map_blocks, decompose, map_levels  # noqa: F401
+from .gabor import GaborBank, _map_blocks, decompose, map_levels  # noqa: F401
 from .radargram import Radargram, WindowSpec
 
 # Filtered phase is zeroed at coefficients below this fraction of the level's
@@ -282,7 +283,7 @@ def _rotate_windows(level: np.ndarray, starts: list, length: int, bounds: list,
     live_in = row_peak >= PHASE_GATE_RATIO * peak
     live = np.flatnonzero(live_in.any(axis=1))
     cap = max(1, BLOCK_ELEMENTS // (len(starts) * length))
-    blocks = max(min(len(starts), _cpus()), -(-len(live) // cap))
+    blocks = max(min(len(starts), gabor._cpus()), -(-len(live) // cap))
     rows_per_block = max(1, -(-len(live) // blocks))
 
     def rotate_block(lo: int) -> bool:
@@ -403,7 +404,7 @@ def global_magnify(frames: np.ndarray, fps: float, cfg: MagnifyConfig) -> np.nda
     if not np.isfinite(stack).all():
         raise ValueError("frames contain non-finite samples")
     cfg.band.validate(fps)
-    spectra = sfft.rfft(stack, axis=1, workers=-1)
+    spectra = sfft.rfft(stack, axis=1)
     reference = spectra[0]
     relative = spectra * np.conj(reference)[None, :]
     delta_phase = np.angle(relative)
@@ -412,4 +413,4 @@ def global_magnify(frames: np.ndarray, fps: float, cfg: MagnifyConfig) -> np.nda
     delta_phase[:, np.abs(reference) < 1e-12 * np.abs(reference).max()] = 0.0
     filtered = dct_bandpass(delta_phase, fps, cfg.band, axis=0)
     shifted = spectra * np.exp(1j * cfg.alpha * filtered)
-    return sfft.irfft(shifted, stack.shape[1], axis=1, workers=-1)
+    return sfft.irfft(shifted, stack.shape[1], axis=1)

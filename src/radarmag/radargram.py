@@ -159,6 +159,11 @@ def windows(r: Radargram, w: WindowSpec) -> list[tuple[int, Radargram]]:
             for start in w.starts(r.n_frames, r.fps)]
 
 
+FORMATS = ("binary", "csv")
+# the CSV format's key=value sidecar: every key is a Radargram attribute
+SIDECAR_KEYS = ("fps", "bin_spacing", "t0_offset", "n_bins", "n_frames")
+
+
 def save_radargram(r: Radargram, path: str, format: str = "binary") -> None:
     """Write a radargram to disk.
 
@@ -175,13 +180,9 @@ def save_radargram(r: Radargram, path: str, format: str = "binary") -> None:
     elif format == "csv":
         np.savetxt(path, r.data, fmt="%.17g", delimiter=",")
         with open(path + ".meta", "w") as fh:
-            fh.write(f"fps={r.fps!r}\n")
-            fh.write(f"bin_spacing={r.bin_spacing!r}\n")
-            fh.write(f"t0_offset={r.t0_offset!r}\n")
-            fh.write(f"n_bins={r.n_bins}\n")
-            fh.write(f"n_frames={r.n_frames}\n")
+            fh.writelines(f"{key}={getattr(r, key)!r}\n" for key in SIDECAR_KEYS)
     else:
-        raise ValueError(f"unknown format {format!r}, expected 'binary' or 'csv'")
+        raise ValueError(f"unknown format {format!r}, expected {' or '.join(map(repr, FORMATS))}")
 
 
 def load_radargram(path: str) -> Radargram:
@@ -265,7 +266,7 @@ def read_sidecar(path: str) -> dict:
     than those save_radargram writes are rejected with their line number."""
     meta = {}
     for lineno, key, value in read_config(path):
-        if key not in ("fps", "bin_spacing", "t0_offset", "n_bins", "n_frames"):
+        if key not in SIDECAR_KEYS:
             raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
         meta[key] = config_number(path, lineno, key, value)
     return meta

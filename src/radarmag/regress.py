@@ -16,6 +16,8 @@ from .radargram import FormatError, Radargram, RangeROI, naming
 
 MODEL_MAGIC = b"RMGM"
 MODEL_VERSION = 1
+# model kinds by name, with the code a model file stores for each
+MODEL_KINDS = {"rf": 2, "ols": 1}
 
 
 @dataclass
@@ -324,7 +326,7 @@ def regress(data: Dataset, model: str = "rf", seed: int = 0, **params):
         return fit_rf(data, seed=seed, **params)
     if model == "ols":
         return fit_ols(data, **params)
-    raise ValueError(f"unknown model {model!r}, expected 'rf' or 'ols'")
+    raise ValueError(f"unknown model {model!r}, expected {' or '.join(map(repr, MODEL_KINDS))}")
 
 
 def kfold_mae(data: Dataset, k: int = 10, model: str = "rf", seed: int = 0,
@@ -407,8 +409,7 @@ def save_model(model, path: str) -> None:
     kind, then the model arrays; byte-deterministic."""
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
-        kind_code = 1 if model.kind == "ols" else 2
-        fh.write(struct.pack("<II", MODEL_VERSION, kind_code))
+        fh.write(struct.pack("<II", MODEL_VERSION, MODEL_KINDS[model.kind]))
         if model.kind == "ols":
             fh.write(struct.pack("<dd", model.intercept, model.ridge))
             _write_array(fh, model.weights)
@@ -430,10 +431,10 @@ def load_model(path: str):
     version, kind_code = reader.unpack("<II")
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported model version {version}")
-    if kind_code == 1:
+    if kind_code == MODEL_KINDS["ols"]:
         intercept, ridge = reader.unpack("<dd")
         model = LinearModel(weights=reader.array(2), intercept=intercept, ridge=ridge)
-    elif kind_code == 2:
+    elif kind_code == MODEL_KINDS["rf"]:
         n_trees, n_features, seed = reader.unpack("<IIq")
         trees = [{key: reader.array(code) for key, code in _TREE_ARRAYS} for _ in range(n_trees)]
         with naming(path):

@@ -322,7 +322,8 @@ class TestMagnifyWindowed:
     def test_no_pool_task_maps_onto_the_pool(self, short_scene, monkeypatch):
         # only the calling thread maps blocks onto the pool: a pool task that
         # waited on the pool could deadlock it; and no FFT on a pool thread
-        # passes scipy workers, so no threads nest inside the pool's
+        # passes scipy workers, so no threads nest inside the pool's, nor
+        # does global_magnify on the calling thread start threads beside it
         class GuardedPool(ThreadPoolExecutor):
             maps = 0
 
@@ -371,6 +372,7 @@ class TestMagnifyWindowed:
             with_workers.clear()
             gabor.decompose(short_scene.data, magnify_bank())
             assert pool.maps > maps
+            global_magnify(short_scene.data.T, short_scene.fps, cfg)
         finally:
             pool.shutdown()
         assert pooled_ffts == {"rfft", "ifft"} and not with_workers
@@ -837,16 +839,15 @@ class TestGlobalMagnify:
 
 def test_outputs_do_not_depend_on_the_thread_count(monkeypatch):
     # the pool's size sets how the phase op cuts a level into row blocks;
-    # no output may move with it
-    gabor, module = sys.modules["radarmag.gabor"], sys.modules["radarmag.magnify"]
+    # no output may move with it; magnify reads the CPU count through gabor
+    gabor = sys.modules["radarmag.gabor"]
     r, _ = simulate(validation_scene(duration_s=6.0), seed=0)
     bank, cfg = magnify_bank(), MagnifyConfig(alpha=10.0, band=SCENE_BAND)
     outputs = {}
     for threads in (1, 2, 3):
         pool = ThreadPoolExecutor(threads, thread_name_prefix="radarmag")
         monkeypatch.setattr(gabor, "_pool", lambda: pool)
-        for owner in (gabor, module):
-            monkeypatch.setattr(owner, "_cpus", lambda: threads)
+        monkeypatch.setattr(gabor, "_cpus", lambda: threads)
         try:
             rows = featurize(r, bank, WindowSpec(2.0, 2.0), SCENE_BAND, TARGET_ROI, alpha=2.0)
             outputs[threads] = [magnify(r, bank, cfg).data,

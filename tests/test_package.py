@@ -7,6 +7,10 @@ import types
 import numpy as np
 
 import radarmag
+from scenes import magnify_bank, validation_scene
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CONFIGS = os.path.join(ROOT, "configs")
 
 
 def test_public_names_match_all():
@@ -15,6 +19,41 @@ def test_public_names_match_all():
     public = {name for name, value in vars(radarmag).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert sorted(public) == sorted(radarmag.__all__)
+
+
+def test_shipped_configs_equal_test_helpers():
+    # the acceptance tests run on the helpers, the CLI and the benchmark on
+    # the shipped files: both must describe the same scene and banks
+    def config(name):
+        return os.path.join(CONFIGS, name)
+
+    assert radarmag.load_scene_config(config("validation_scene.cfg")) == validation_scene()
+    assert radarmag.load_bank_config(config("magnify_bank.cfg")).levels == magnify_bank().levels
+    assert (radarmag.load_bank_config(config("feature_bank.cfg")).levels
+            == radarmag.default_bank().levels)
+
+
+def count_code_lines(*args) -> dict[str, int]:
+    """tools/code_lines.py's count per module, and its total, by name."""
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "code_lines.py"), *args],
+                         capture_output=True, text=True, check=True).stdout
+    return {name: int(count) for name, count in (line.split() for line in out.splitlines())}
+
+
+def test_code_line_counter(tmp_path):
+    # docstrings, comments and blank lines are not code; a string that is not
+    # a docstring is, over every line it spans
+    (tmp_path / "a.py").write_text(
+        '"""Module\ndocstring."""\n\n# comment\nimport os  # trailing\n\n\n'
+        'def f():\n    """Doc."""\n    return """two\nlines"""\n')
+    (tmp_path / "b.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert count_code_lines(str(tmp_path)) == {"a.py": 4, "b.py": 1, "total": 5}
+    counts = count_code_lines()
+    modules = sorted(name for name in os.listdir(os.path.dirname(radarmag.__file__))
+                     if name.endswith(".py"))
+    assert sorted(counts) == sorted(modules + ["total"])
+    assert counts.pop("total") == sum(counts.values())
 
 
 def run_probe(code: str) -> str:
@@ -30,8 +69,7 @@ def test_commands_without_transforms_load_no_scipy(tmp_path):
     # package and CLI, and every command that runs no transform, loads none
     # of it; estimate_displacement, which forms its analytic signal with
     # scipy.fft, loads no scipy.signal (nor the scipy.stats it pulls in)
-    scene = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(radarmag.__file__))),
-                         "configs", "validation_scene.cfg")
+    scene = os.path.join(CONFIGS, "validation_scene.cfg")
     rows = [radarmag.FeatureRow(float(i), np.array([i % 5, i % 3], dtype=float), 60.0 + i)
             for i in range(12)]
     radarmag.write_features_csv(rows, ["a", "b"], str(tmp_path / "f.csv"))

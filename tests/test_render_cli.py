@@ -364,7 +364,17 @@ class TestEvalRejectsBadInput:
         root, blobs = eval_inputs
         feature_csv(root / "other.csv", n_columns, np.random.default_rng(n_columns))
         code, err = run_eval(root, blobs[kind], "other.csv")
-        assert code == 1 and len(err) == 1 and f"expects {N_FEATURES} features" in err[0]
+        assert code == 1 and len(err) == 1, (code, err)
+        assert err[0].startswith(f"error: {root / 'other.csv'}: model expects {N_FEATURES} features")
+
+    def test_unlabelled_rows_do_not_train(self, eval_inputs):
+        # eval takes rows without labels; train names the CSV that has them
+        root, _ = eval_inputs
+        path = root / "unlabelled.csv"
+        rows = [FeatureRow(5.0 * i, np.arange(N_FEATURES, dtype=float)) for i in range(6)]
+        write_features_csv(rows, [f"f{j}" for j in range(N_FEATURES)], str(path))
+        assert run_cli(["train", str(path), "--folds", "3", "-o", str(root / "m.bin")]) == (
+            1, [f"error: {path}: all rows need labels to build a dataset"])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 5), st.integers(0, 1 + N_FEATURES), st.sampled_from(BAD_CELLS))
