@@ -37,8 +37,7 @@ def render_heatmap(r: Radargram, colormap: str = "jet",
     p_lo, p_hi = clip_percentiles
     if not 0 <= p_lo < p_hi <= 100:
         raise ValueError(f"need 0 <= p_lo < p_hi <= 100, got {clip_percentiles}")
-    lo = np.percentile(r.data, p_lo)
-    hi = np.percentile(r.data, p_hi)
+    lo, hi = np.percentile(r.data, (p_lo, p_hi))
     if hi <= lo:
         warn("degenerate (constant) radargram; rendering uniform mid-level image", stacklevel=2)
     image = np.empty(r.data.shape + (3,), dtype=np.uint8)
@@ -64,7 +63,7 @@ def write_ppm(image: np.ndarray, path: str) -> None:
     height, width = image.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(image.tobytes())
+        fh.write(np.ascontiguousarray(image).data)
 
 
 def read_ppm(path: str) -> np.ndarray:

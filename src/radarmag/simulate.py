@@ -82,8 +82,12 @@ class SceneSpec:
         if not 2 <= self.duration_s * self.fps < np.inf:
             raise ValueError(f"scene must span at least 2 and finitely many frames, "
                              f"got duration_s * fps = {self.duration_s * self.fps:g}")
-        if self.n_bins < 1 or self.bin_spacing <= 0:
-            raise ValueError("need n_bins >= 1 and bin_spacing > 0")
+        if self.n_bins < 1:
+            raise ValueError(f"need n_bins >= 1, got {self.n_bins}")
+        if not 0 < self.bin_spacing < math.inf:
+            raise ValueError(f"bin_spacing must be positive and finite, got {self.bin_spacing}")
+        if not math.isfinite(self.t0_offset):
+            raise ValueError(f"t0_offset must be finite, got {self.t0_offset}")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")
         if not (0 < self.pulse_sigma_bins <= self.n_bins and self.pulse_carrier_bins > 0):
@@ -141,8 +145,11 @@ def simulate(scene: SceneSpec, seed: int = 0) -> tuple[Radargram, np.ndarray]:
     rendering.  Then, per chunk of frames, the targets are added in order,
     each only on the bins within ``_reach`` of its positions in the chunk;
     the template is exactly +-0.0 everywhere else, so the sum is the same
-    bits as over every bin.  Noise is added last, in row blocks drawn in
-    the order of one C-order ``standard_normal`` of the record's shape.
+    bits as over every bin.  A target's template is evaluated once per
+    distinct position in the chunk and gathered back to its frames, so a
+    static target costs one column per chunk.  Noise is added last, in row
+    blocks drawn in the order of one C-order ``standard_normal`` of the
+    record's shape.
     Temporaries stay within a few chunks of ``_CHUNK_ELEMENTS`` samples.
     """
     n_bins, n_frames = scene.n_bins, scene.n_frames
@@ -168,11 +175,12 @@ def simulate(scene: SceneSpec, seed: int = 0) -> tuple[Radargram, np.ndarray]:
     for f0 in range(0, n_frames, step):
         cols = slice(f0, f0 + step)
         for tg, center, delta in zip(scene.targets, centers, truth):
-            p = center + delta[cols]
-            lo = max(0, math.ceil(p.min() - reach))
-            hi = min(n_bins, math.floor(p.max() + reach) + 1)
-            data[lo:hi, cols] += tg.reflectivity * pulse_template(
-                x[lo:hi] - p, scene.pulse_sigma_bins, scene.pulse_carrier_bins)
+            # np.unique sorts, so the gather is kept even when no position repeats
+            positions, column = np.unique(center + delta[cols], return_inverse=True)
+            lo = max(0, math.ceil(positions[0] - reach))
+            hi = min(n_bins, math.floor(positions[-1] + reach) + 1)
+            data[lo:hi, cols] += (tg.reflectivity * pulse_template(
+                x[lo:hi] - positions, scene.pulse_sigma_bins, scene.pulse_carrier_bins))[:, column]
     if scene.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         step = max(1, _CHUNK_ELEMENTS // n_frames)

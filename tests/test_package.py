@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -54,6 +55,24 @@ def test_code_line_counter(tmp_path):
                      if name.endswith(".py"))
     assert sorted(counts) == sorted(modules + ["total"])
     assert counts.pop("total") == sum(counts.values())
+
+
+def test_scene_digest_tool():
+    # tools/scene_digest.py hashes simulate's data, then its truth, per
+    # validation-scene case; no sha1 is pinned, as SIMD exp and cos may
+    # round differently on another CPU
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "scene_digest.py")],
+                         capture_output=True, text=True, check=True).stdout
+    lines = [line.split() for line in out.splitlines()]
+    cases = [(10, 0, 0), (10, 0, 1), (30, 0, 0), (30, 0, 1), (3, 0.05, 3), (30, 0.05, 1)]
+    want = {}
+    for duration_s, noise_sigma, seed in cases:
+        r, truth = radarmag.simulate(validation_scene(duration_s=duration_s,
+                                                      noise_sigma=noise_sigma), seed=seed)
+        want[f"validation-{duration_s}s-noise{noise_sigma}-seed{seed}"] = hashlib.sha1(
+            r.data.tobytes() + truth.tobytes()).hexdigest()
+    assert dict(lines[:-1]) == want
+    assert lines[-1][0] == "criterion-7-50-records" and len(lines[-1][1]) == 40
 
 
 def run_probe(code: str) -> str:

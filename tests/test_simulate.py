@@ -112,6 +112,18 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="^noise_sigma must be non-negative and finite"):
             SceneSpec(duration_s=1.0, fps=100.0, n_bins=64, bin_spacing=0.01, noise_sigma=value)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field, message", [
+        ("bin_spacing", "bin_spacing must be positive and finite"),
+        ("t0_offset", "t0_offset must be finite")])
+    def test_scene_geometry(self, field, message, value):
+        # rejected before any target's range check or any rendering
+        values = dict(duration_s=1.0, fps=100.0, n_bins=64, bin_spacing=0.01,
+                      targets=(TargetSpec("static", 0.05),))
+        values[field] = value
+        with pytest.raises(ValueError, match=f"^{message}, got {value}$"):
+            SceneSpec(**values)
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_position_in_simulate(self, value):
         # a position the specs' own checks can no longer produce, set behind
@@ -152,7 +164,9 @@ FPS = 100.0
 @st.composite
 def target_specs(draw, n_bins, duration_s):
     """A target of any kind whose track starts, centres or rests on the first
-    bin, the last bin, or anywhere between."""
+    bin, the last bin, or anywhere between.  Besides static targets, a
+    zero-amplitude sinusoid, a sinusoid at fps / 4 and a zero-velocity linear
+    target repeat positions within a chunk."""
     last = n_bins - 1
     kind = draw(st.sampled_from(["sinusoid", "static", "linear"]))
     start = draw(st.sampled_from([0.0, float(last)]) | st.floats(0.0, last))
@@ -160,10 +174,10 @@ def target_specs(draw, n_bins, duration_s):
     if kind == "static":
         return TargetSpec(kind, start * SPACING, reflectivity)
     if kind == "sinusoid":
-        amplitude = min(start, last - start) * draw(st.floats(0.0, 1.0))
+        amplitude = min(start, last - start) * draw(st.just(0.0) | st.floats(0.0, 1.0))
         return TargetSpec(kind, start * SPACING, reflectivity, amplitude_bins=amplitude,
-                          freq_hz=draw(st.floats(0.1, FPS / 2 - 1.0)))
-    end = draw(st.sampled_from([0.0, float(last)]) | st.floats(0.0, last))
+                          freq_hz=draw(st.just(FPS / 4) | st.floats(0.1, FPS / 2 - 1.0)))
+    end = draw(st.sampled_from([0.0, start, float(last)]) | st.floats(0.0, last))
     velocity = (end - start) * SPACING / duration_s * (1.0 - 1e-9)
     return TargetSpec(kind, start * SPACING, reflectivity, velocity_mps=velocity)
 
@@ -182,6 +196,16 @@ def scenes(draw):
         pulse_carrier_bins=draw(st.floats(0.5, 50.0)))
 
 
+# a zero-amplitude sinusoid, a sinusoid at fps / 4 (positions center and
+# center +- amplitude, each many times) and a zero-velocity linear target
+REPEATING_SCENE = SceneSpec(
+    duration_s=0.5, fps=FPS, n_bins=64, bin_spacing=SPACING,
+    targets=(TargetSpec("sinusoid", 20 * SPACING, 1.0, amplitude_bins=0.0, freq_hz=10.0),
+             TargetSpec("sinusoid", 30.3 * SPACING, -0.7, amplitude_bins=0.4, freq_hz=FPS / 4),
+             TargetSpec("linear", 40.6 * SPACING, 1.5, velocity_mps=0.0)),
+    pulse_sigma_bins=3.0, pulse_carrier_bins=6.0)
+
+
 class TestBandedRenderer:
     """simulate renders each target per frame chunk on the bins within reach;
     the result must be the full-matrix renderer's, bit for bit."""
@@ -191,6 +215,7 @@ class TestBandedRenderer:
            st.just(simulate_module._CHUNK_ELEMENTS) | st.integers(1, 3000))
     @example(validation_scene(duration_s=2.6, noise_sigma=0.05), 5,
              simulate_module._CHUNK_ELEMENTS).via("2.6 s: one 512-frame chunk and 8 frames")
+    @example(REPEATING_SCENE, 0, 64 * 7).via("positions that repeat within 7-frame chunks")
     def test_matches_full_matrix_renderer(self, scene, seed, chunk_elements):
         # chunk_elements also sizes the noise blocks; small values give many
         # ragged chunks and blocks on small scenes
@@ -218,6 +243,26 @@ class TestBandedRenderer:
         # exponent inside it: the band is no wider than its margin of one unit
         z = simulate_module._UNDERFLOW_EXPONENT
         assert np.exp(-z) == 0.0 and np.exp(-(z - 1.7)) > 0.0
+
+    def test_template_columns_per_chunk(self):
+        # each target's template is evaluated once per distinct position in a
+        # chunk: one column for a static target, one per frame for a linear
+        # mover, whose positions never repeat
+        shapes = []
+
+        def recording_template(offset_bins, sigma_bins, carrier_bins):
+            shapes.append(offset_bins.shape)
+            return pulse_template(offset_bins, sigma_bins, carrier_bins)
+
+        scene = SceneSpec(duration_s=1.0, fps=FPS, n_bins=64, bin_spacing=SPACING,
+                          targets=(TargetSpec("static", 20 * SPACING),
+                                   TargetSpec("linear", 40 * SPACING, velocity_mps=-0.01)),
+                          pulse_sigma_bins=3.0, pulse_carrier_bins=6.0)
+        with mock.patch.object(simulate_module, "_CHUNK_ELEMENTS", 64 * 30), \
+                mock.patch.object(simulate_module, "pulse_template", recording_template):
+            r, _ = simulate(scene)
+        assert [cols for _, cols in shapes] == [1, 30, 1, 30, 1, 30, 1, 10]
+        assert same_bits(r.data, full_matrix_simulate(scene))
 
     def test_memory_does_not_grow_with_record_length(self):
         # beyond the record and the truth, simulate holds a few chunks of
