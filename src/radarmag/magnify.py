@@ -317,6 +317,12 @@ def _check_finite(level: np.ndarray, k: int, bank: GaborBank, frame0: int) -> No
             f"bin {bad[0]}, frame {frame0 + bad[1]}")
 
 
+def _check_frames(n_frames: int) -> None:
+    """ValueError unless a window holds the 4 frames magnification needs."""
+    if n_frames < 4:
+        raise ValueError(f"need at least 4 frames, got {n_frames}")
+
+
 def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
     """Magnify in-band motion of a radargram by (1 + alpha).
 
@@ -327,8 +333,10 @@ def magnify(r: Radargram, bank: GaborBank, cfg: MagnifyConfig) -> Radargram:
     equals reconstruct(decompose(data)) bit for bit: both run the same
     synthesis.  A non-finite coefficient, analysed or rotated, is a
     ValueError naming it: "non-finite coefficient at level k (wavelength
-    ...), bin b, frame f".
+    ...), bin b, frame f".  A record of fewer than 4 frames is a ValueError
+    before any window is formed.
     """
+    _check_frames(r.n_frames)
     return magnify_windowed(r, bank, cfg, WindowSpec(r.duration_s, r.duration_s))
 
 
@@ -358,8 +366,7 @@ def magnify_windowed(r: Radargram, bank: GaborBank, cfg: MagnifyConfig,
     """
     length, shift = wspec.frames(r.fps)
     length = min(length, r.n_frames)
-    if length < 4:
-        raise ValueError(f"need at least 4 frames, got {length}")
+    _check_frames(length)
     cfg.band.validate(r.fps)
     starts = list(wspec.starts(r.n_frames, r.fps)) or [0]
     if starts[-1] + length < r.n_frames:

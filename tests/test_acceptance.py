@@ -13,8 +13,9 @@ import radarmag as rm
 from radarmag.cli import main as cli_main
 
 from scenes import (BREATHER_ROI, SCENE_BAND, STATIC_SLICE, TARGET_ROI,
-                    TRACK_SLICE, breather_scene, displacement_p2p,
-                    magnify_bank, validation_scene)
+                    TRACK_SLICE, band_limited_profile, breather_scene,
+                    criterion_7_scenes, displacement_p2p, magnify_bank, shift_frames,
+                    validation_scene)
 
 RR_BAND = rm.BandSpec(0.1, 0.7)
 HR_BAND = rm.BandSpec(0.7, 3.0)
@@ -25,23 +26,8 @@ def report(n, message):
 
 
 def ladder7_bank():
-    pairs = [(13.35, 26.70), (10.68, 21.36), (8.54, 17.08), (6.84, 13.68),
-             (5.47, 10.94), (4.38, 8.76), (3.5, 7.0)]
-    return rm.make_bank([w for w, _ in pairs], sigmas=[s for _, s in pairs])
-
-
-def band_limited_profile(n, rng, k_max=6):
-    spectrum = np.zeros(n // 2 + 1, complex)
-    spectrum[1 : k_max + 1] = rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
-    return np.fft.irfft(spectrum, n)
-
-
-def shift_frames(profile, shifts):
-    n = len(profile)
-    spectrum = np.fft.rfft(profile)
-    k = np.arange(len(spectrum))
-    ramp = np.exp(1j * 2 * np.pi * k[None, :] * shifts[:, None] / n)
-    return np.fft.irfft(spectrum[None, :] * ramp, n, axis=1)
+    """The magnify bank's seven narrowband levels."""
+    return rm.GaborBank(list(magnify_bank().levels[2:]))
 
 
 def test_criterion_01_global_magnification_exactness():
@@ -148,31 +134,18 @@ def test_criterion_06_feature_sanity():
     report(6, f"fft peaks 15/72 bpm on every level, zcr(1 Hz) = {zcr:.3f} Hz")
 
 
-def synthesize_benchmark(n_records=50, duration_s=60.0, fps=20.0, n_bins=96, master_seed=2024):
-    """Breathing + cardiac sinusoids per record; returns per-band datasets and
-    per-window baseline errors."""
-    param_rng = np.random.default_rng(master_seed)
+def synthesize_benchmark():
+    """Per-band feature rows and per-window baseline errors of the criterion-7 records."""
     wspec = rm.WindowSpec(30.0, 5.0)
     bank = rm.default_bank()
     rows = {"rr": [], "hr": []}
     baseline_err = {"rr": [], "hr": []}
-    for rec in range(n_records):
-        f_breath = param_rng.uniform(0.2, 0.35)
-        a_breath = param_rng.uniform(0.3, 1.0)
-        f_cardiac = param_rng.uniform(1.0, 1.6)
-        a_cardiac = param_rng.uniform(0.01, 0.05)
-        center = 0.48 + param_rng.uniform(-0.04, 0.04)
-        scene = rm.SceneSpec(
-            duration_s=duration_s, fps=fps, n_bins=n_bins, bin_spacing=0.01,
-            targets=(
-                rm.TargetSpec("sinusoid", center, 1.0, amplitude_bins=a_breath, freq_hz=f_breath),
-                rm.TargetSpec("sinusoid", center, 0.6, amplitude_bins=a_cardiac, freq_hz=f_cardiac),
-            ),
-            noise_sigma=0.02, pulse_sigma_bins=3.0, pulse_carrier_bins=6.0)
-        record, _ = rm.simulate(scene, seed=master_seed + rec)
-        t = np.arange(0, duration_s, 1.0)
-        for key, band, truth_bpm in (("rr", RR_BAND, f_breath * 60.0),
-                                     ("hr", HR_BAND, f_cardiac * 60.0)):
+    for scene, seed in criterion_7_scenes():
+        record, _ = rm.simulate(scene, seed=seed)
+        breath, cardiac = scene.targets
+        t = np.arange(0, scene.duration_s, 1.0)
+        for key, band, truth_bpm in (("rr", RR_BAND, breath.freq_hz * 60.0),
+                                     ("hr", HR_BAND, cardiac.freq_hz * 60.0)):
             labels = np.column_stack([t, np.full_like(t, truth_bpm)])
             rows[key].extend(rm.featurize(record, bank, wspec, band, BREATHER_ROI, labels=labels))
             for _, window in rm.windows(record, wspec):

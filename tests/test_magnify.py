@@ -18,7 +18,8 @@ from radarmag.magnify import (AMPLITUDE_MASK_RATIO, GATE_SMOOTH_S, PHASE_GATE_RA
                               _check_finite, _gate_phase, _phasors, _rotate_windows)
 
 from scenes import (NARROW_SCENE, SCENE_BAND, STATIC_SLICE, TARGET_ROI, TRACK_SLICE,
-                    breather_scene, displacement_p2p, magnify_bank, validation_scene)
+                    band_limited_profile, breather_scene, displacement_p2p, magnify_bank,
+                    shift_frames, validation_scene)
 
 
 class TestBandSpec:
@@ -189,9 +190,12 @@ class TestMagnify:
         assert peak < 2.6 * m * r.n_frames * 16, f"peak {peak / 2**20:.1f} MiB"
 
     def test_too_few_frames(self):
-        r = Radargram(np.zeros((300, 3)), fps=100.0, bin_spacing=0.01)
-        with pytest.raises(ValueError):
-            magnify(r, magnify_bank(), MagnifyConfig(alpha=1.0, band=BandSpec(1.0, 2.0)))
+        # a one-frame record is refused for its frames, not for the window
+        # its whole-record magnification would form
+        for n_frames in (3, 1):
+            r = Radargram(np.zeros((300, n_frames)), fps=100.0, bin_spacing=0.01)
+            with pytest.raises(ValueError, match=f"^need at least 4 frames, got {n_frames}$"):
+                magnify(r, magnify_bank(), MagnifyConfig(alpha=1.0, band=BandSpec(1.0, 2.0)))
 
     def test_windowed_matches_one_shot_on_stationary_content(self):
         scene = validation_scene(duration_s=20.0)
@@ -796,42 +800,28 @@ class TestComposition:
 
 
 class TestGlobalMagnify:
-    @staticmethod
-    def band_limited_profile(n, rng, k_max=6):
-        spectrum = np.zeros(n // 2 + 1, complex)
-        spectrum[1 : k_max + 1] = rng.standard_normal(k_max) + 1j * rng.standard_normal(k_max)
-        return np.fft.irfft(spectrum, n)
-
-    @staticmethod
-    def shift_frames(profile, shifts):
-        n = len(profile)
-        spectrum = np.fft.rfft(profile)
-        k = np.arange(len(spectrum))
-        ramp = np.exp(1j * 2 * np.pi * k[None, :] * shifts[:, None] / n)
-        return np.fft.irfft(spectrum[None, :] * ramp, n, axis=1)
-
     def test_matches_analytic_shift_oracle(self):
         rng = np.random.default_rng(7)
         n, fps, dur = 64, 50.0, 4.0
-        profile = self.band_limited_profile(n, rng)
+        profile = band_limited_profile(n, rng)
         t = np.arange(int(fps * dur)) / fps
         delta = 0.3 * np.sin(2 * np.pi * 1.0 * t)
-        frames = self.shift_frames(profile, delta)
+        frames = shift_frames(profile, delta)
         alpha = 2.0
         out = global_magnify(frames, fps, MagnifyConfig(alpha=alpha, band=BandSpec(0.0, fps / 2)))
-        oracle = self.shift_frames(profile, (1 + alpha) * delta)
+        oracle = shift_frames(profile, (1 + alpha) * delta)
         assert np.max(np.abs(out - oracle)) <= 1e-6
 
     def test_alpha_zero_identity(self):
         rng = np.random.default_rng(8)
-        frames = self.shift_frames(self.band_limited_profile(64, rng),
-                                   0.2 * np.sin(np.linspace(0, 7, 100)))
+        frames = shift_frames(band_limited_profile(64, rng),
+                              0.2 * np.sin(np.linspace(0, 7, 100)))
         out = global_magnify(frames, 50.0, MagnifyConfig(alpha=0.0, band=BandSpec(0.0, 25.0)))
         assert np.max(np.abs(out - frames)) <= 1e-9
 
     def test_zero_displacement_identity(self):
         rng = np.random.default_rng(9)
-        profile = self.band_limited_profile(64, rng)
+        profile = band_limited_profile(64, rng)
         frames = np.tile(profile, (50, 1))
         out = global_magnify(frames, 50.0, MagnifyConfig(alpha=25.0, band=BandSpec(0.0, 25.0)))
         assert np.max(np.abs(out - frames)) <= 1e-9

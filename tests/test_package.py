@@ -8,10 +8,7 @@ import types
 import numpy as np
 
 import radarmag
-from scenes import magnify_bank, validation_scene
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CONFIGS = os.path.join(ROOT, "configs")
+from scenes import CONFIGS, ROOT, criterion_7_scenes, validation_scene
 
 
 def test_public_names_match_all():
@@ -22,15 +19,10 @@ def test_public_names_match_all():
     assert sorted(public) == sorted(radarmag.__all__)
 
 
-def test_shipped_configs_equal_test_helpers():
-    # the acceptance tests run on the helpers, the CLI and the benchmark on
-    # the shipped files: both must describe the same scene and banks
-    def config(name):
-        return os.path.join(CONFIGS, name)
-
-    assert radarmag.load_scene_config(config("validation_scene.cfg")) == validation_scene()
-    assert radarmag.load_bank_config(config("magnify_bank.cfg")).levels == magnify_bank().levels
-    assert (radarmag.load_bank_config(config("feature_bank.cfg")).levels
+def test_shipped_feature_bank_is_default_bank():
+    # configs/feature_bank.cfg, the file a user passes as --bank, describes
+    # the bank that default_bank() builds
+    assert (radarmag.load_bank_config(os.path.join(CONFIGS, "feature_bank.cfg")).levels
             == radarmag.default_bank().levels)
 
 
@@ -59,8 +51,9 @@ def test_code_line_counter(tmp_path):
 
 def test_scene_digest_tool():
     # tools/scene_digest.py hashes simulate's data, then its truth, per
-    # validation-scene case; no sha1 is pinned, as SIMD exp and cos may
-    # round differently on another CPU
+    # validation-scene case, and the criterion-7 records the acceptance suite
+    # runs into one sha1; no sha1 is pinned, as SIMD exp and cos may round
+    # differently on another CPU
     out = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "scene_digest.py")],
                          capture_output=True, text=True, check=True).stdout
     lines = [line.split() for line in out.splitlines()]
@@ -72,7 +65,24 @@ def test_scene_digest_tool():
         want[f"validation-{duration_s}s-noise{noise_sigma}-seed{seed}"] = hashlib.sha1(
             r.data.tobytes() + truth.tobytes()).hexdigest()
     assert dict(lines[:-1]) == want
-    assert lines[-1][0] == "criterion-7-50-records" and len(lines[-1][1]) == 40
+    digest = hashlib.sha1()
+    for scene, seed in criterion_7_scenes():
+        r, truth = radarmag.simulate(scene, seed=seed)
+        digest.update(r.data.tobytes() + truth.tobytes())
+    assert lines[-1] == ["criterion-7-50-records", digest.hexdigest()]
+
+
+def test_benchmark_vitals_pool_is_criterion_7_head(monkeypatch):
+    # the benchmark's vitals-cv workload draws its records from criterion 7's
+    # first 16, each simulated with its own seed
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import bench
+    scenes = criterion_7_scenes(16)
+    targets = [scene.targets for scene, _ in scenes]
+    assert bench.VitalsCV.pool_params(16) == [
+        (breath.freq_hz, breath.amplitude_bins, cardiac.freq_hz, cardiac.amplitude_bins,
+         breath.center_range_m) for breath, cardiac in targets]
+    assert [bench.POOL_SEED + i for i in range(16)] == [seed for _, seed in scenes]
 
 
 def run_probe(code: str) -> str:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from radarmag import cli
 from radarmag.cli import main
 from radarmag.render import _jet
 
-from scenes import breather_scene, validation_scene
+from scenes import CONFIGS, ROOT, breather_scene, validation_scene
 
 
 class TestRender:
@@ -148,6 +149,14 @@ class TestCli:
         assert main(["magnify", scene_rgrm, out, "--alpha", "2", "--band", "40:50",
                      "--bank", "configs/magnify_bank.cfg", "--window", "3:2"]) == 0
         assert load_radargram(out).data.shape == load_radargram(scene_rgrm).data.shape
+
+    def test_one_frame_magnify_is_user_error(self, tmp_path):
+        # whole-record and windowed magnify both name the frame count
+        record = str(tmp_path / "one.rgrm")
+        save_radargram(Radargram(np.ones((64, 1)), fps=200.0, bin_spacing=0.01), record)
+        argv = ["magnify", record, str(tmp_path / "o.rgrm"), "--alpha", "1", "--band", "40:50"]
+        for flags in ([], ["--window", "1:0.5"]):
+            assert run_cli(argv + flags) == (1, ["error: need at least 4 frames, got 1"])
 
     def test_train_on_empty_feature_csv_is_user_error(self, scene_rgrm, tmp_path, capsys):
         feats = str(tmp_path / "f.csv")
@@ -290,6 +299,22 @@ class TestCli:
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "Hz" in text and "alpha" in text
+
+    def test_readme_chain_exits_zero(self, tmp_path, monkeypatch):
+        # every radarmag line of the README's CLI block, in order, next to the
+        # shipped configs and the labels file the README describes
+        with open(os.path.join(ROOT, "README.md")) as fh:
+            block = fh.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line) for line in block.splitlines() if line.startswith("radarmag ")]
+        assert [argv[1] for argv in lines] == ["simulate", "magnify", "render", "features",
+                                               "train", "eval"]
+        (tmp_path / "configs").symlink_to(CONFIGS)
+        (tmp_path / "labels.csv").write_text(
+            "time_s,bpm\n" + "".join(f"{t:g},2700\n" for t in np.arange(0.0, 10.0, 0.5)))
+        monkeypatch.chdir(tmp_path)
+        for argv in lines:
+            code, err = run_cli(argv[1:])
+            assert code == 0, (argv, err)
 
 
 N_FEATURES = 4
